@@ -93,6 +93,8 @@ class RunConfig:
         for r in self.r_list:
             if not 0.0 < r <= 1.0:
                 raise RangeError(f"r must lie in (0,1], got {r}")
+        if self.tol is not None and not np.isfinite(self.tol):
+            raise RangeError(f"tol must be finite, got {self.tol}")
         if self.format not in ("json", "csv"):
             raise RangeError(f"format must be json or csv, got {self.format}")
 
@@ -110,7 +112,10 @@ def _parse_point(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
         raise RangeError("point must be re,im")
-    return complex(float(parts[0]), float(parts[1]))
+    point = complex(float(parts[0]), float(parts[1]))
+    if not np.isfinite(point):
+        raise RangeError(f"point must be finite, got {text}")
+    return point
 
 
 def _load_symbol(config: RunConfig) -> FourierSymbol:
@@ -119,8 +124,11 @@ def _load_symbol(config: RunConfig) -> FourierSymbol:
     return load_symbol_spec(config.symbol_path)
 
 
-def _default_r(sym: FourierSymbol) -> float:
-    return 1.0 if sym.is_finite_band else 0.999
+def _radius(config: RunConfig, sym: FourierSymbol) -> float:
+    """The single --r, else 1 for exact symbols and 0.999 for truncations."""
+    if len(config.r_list) > 1:
+        raise RangeError(f"{config.subcommand} takes one --r, got {len(config.r_list)}")
+    return config.r_list[0] if config.r_list else (1.0 if sym.is_finite_band else 0.999)
 
 
 def _poly_or(text: str | None, fallback: BivariatePolynomial) -> BivariatePolynomial:
@@ -144,7 +152,7 @@ def _emit(config: RunConfig, text: str) -> None:
 
 def _run_measure(config: RunConfig) -> int:
     sym = _load_symbol(config)
-    r = config.r_list[0] if config.r_list else _default_r(sym)
+    r = _radius(config, sym)
     grid = config.grid or default_grid(sym)
     density = hh_density(sym, r, grid, refine=False)
     mg = density.grid
@@ -182,7 +190,7 @@ def _run_trace_check(config: RunConfig) -> int:
     sym = _load_symbol(config)
     p = _poly_or(config.p_text, BivariatePolynomial.x())
     q = _poly_or(config.q_text, BivariatePolynomial.y())
-    r = config.r_list[0] if config.r_list else _default_r(sym)
+    r = _radius(config, sym)
     grid = config.grid or default_grid(sym)
     report = trace_formula_check(sym, p, q, grid, r, n_override=config.n_override)
     _emit(config, _dump_json(report.to_dict()) + "\n")
@@ -197,7 +205,7 @@ def _run_winding(config: RunConfig) -> int:
     sym = _load_symbol(config)
     if not config.points:
         raise RangeError("winding requires at least one --point re,im")
-    r = config.r_list[0] if config.r_list else _default_r(sym)
+    r = _radius(config, sym)
     eps = config.tol if config.tol is not None else 1e-8
     curve = SampledCurve.from_symbol(sym, r)
     rows = []
@@ -211,7 +219,7 @@ def _run_winding(config: RunConfig) -> int:
 
 def _run_index_check(config: RunConfig) -> int:
     sym = _load_symbol(config)
-    r = config.r_list[0] if config.r_list else _default_r(sym)
+    r = _radius(config, sym)
     grid = config.grid or default_grid(sym)
     density = hh_density(sym, r, grid, refine=False)
     points = list(config.points)
@@ -312,62 +320,63 @@ def run(config: RunConfig) -> int:
         return 3
 
 
+# argparse settings of every option, stored under the RunConfig field names;
+# --p/--q are polynomials except on besov
+_ARGS = {
+    "out": {"--out": dict(dest="out_path", metavar="PATH", help="output path (default: stdout)")},
+    "symbol": {"--symbol": dict(dest="symbol_path", metavar="PATH",
+                                help="path to a symbol-spec JSON file")},
+    "grid": {"--grid": dict(help="x0,x1,y0,y1,nx,ny")},
+    "r": {"--r": dict(dest="r_list", metavar="R", action="append", type=float,
+                      help="smoothing radius in (0,1]; repeatable on smooth-limit")},
+    "format": {"--format": dict(choices=("json", "csv"))},
+    "tol": {"--tol": dict(type=float, help="tolerance (trace-check gate / winding eps)")},
+    "n": {"--n": dict(dest="n_override", metavar="N", type=int, help="truncation override")},
+    "poly": {"--p": dict(dest="p_text", metavar="POLY", help="polynomial, e.g. 'x^2*y+3*x'"),
+             "--q": dict(dest="q_text", metavar="POLY", help="polynomial, e.g. 'y'")},
+    "point": {"--point": dict(dest="points", metavar="RE,IM", action="append",
+                              help="query point re,im; repeatable")},
+    "count": {"--count": dict(type=int, help="sampled points when --point is absent")},
+    "exponents": {"--p": dict(dest="exponent_p", metavar="P", type=float,
+                             help="Besov exponent"),
+                  "--q": dict(dest="exponent_q", metavar="Q", type=float,
+                              help="conjugate exponent (float or inf)")},
+}
+
+# the options each subcommand reads
+_OPTIONS = {
+    "measure": ("out", "symbol", "grid", "r", "format"),
+    "trace-check": ("out", "symbol", "grid", "r", "tol", "n", "poly"),
+    "winding": ("out", "symbol", "r", "tol", "point"),
+    "index-check": ("out", "symbol", "grid", "r", "point", "count"),
+    "smooth-limit": ("out", "symbol", "grid", "r", "poly"),
+    "besov": ("out", "symbol", "exponents"),
+    "gallery": ("out", "format"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hhmeasure",
                      description="Helton-Howe measure densities of Toeplitz operators")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in _SUBCOMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--symbol", help="path to a symbol-spec JSON file")
-        sp.add_argument("--grid", help="x0,x1,y0,y1,nx,ny")
-        sp.add_argument("--r", action="append", type=float, default=None,
-                        help="smoothing radius in (0,1]; repeatable")
-        sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--format", choices=("json", "csv"),
-                        default="csv" if name == "measure" else "json")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="tolerance override (trace-check gate / winding eps)")
-        sp.add_argument("--n", type=int, default=None, help="truncation override")
-        if name in ("trace-check", "smooth-limit"):
-            sp.add_argument("--p", help="polynomial, e.g. 'x^2*y+3*x'")
-            sp.add_argument("--q", help="polynomial, e.g. 'y'")
-        if name in ("winding", "index-check"):
-            sp.add_argument("--point", action="append", default=None,
-                            help="query point re,im; repeatable")
-            sp.add_argument("--count", type=int, default=20,
-                            help="number of sampled points when --point is absent")
-        if name == "besov":
-            sp.add_argument("--p", help="Besov exponent (float)")
-            sp.add_argument("--q", help="conjugate exponent (float or inf)")
+    parsers = {}
+    for name, options in _OPTIONS.items():
+        sp = parsers[name] = sub.add_parser(name)
+        for option in options:
+            for flag, settings in _ARGS[option].items():
+                sp.add_argument(flag, **settings)
+    parsers["measure"].set_defaults(format="csv")
     return parser
 
 
 def _config_from_args(args) -> RunConfig:
-    grid = _parse_grid(args.grid) if args.grid else None
-    points = tuple(_parse_point(t) for t in (getattr(args, "point", None) or ()))
-    exponent_p = exponent_q = None
-    p_text = getattr(args, "p", None)
-    q_text = getattr(args, "q", None)
-    if args.subcommand == "besov":
-        exponent_p = float(p_text) if p_text is not None else None
-        exponent_q = float(q_text) if q_text is not None else None
-        p_text = q_text = None
-    return RunConfig(
-        subcommand=args.subcommand,
-        symbol_path=args.symbol,
-        grid=grid,
-        r_list=tuple(args.r) if args.r else (),
-        n_override=args.n,
-        tol=args.tol,
-        out_path=args.out,
-        format=args.format,
-        p_text=p_text,
-        q_text=q_text,
-        points=points,
-        count=getattr(args, "count", 20),
-        exponent_p=exponent_p,
-        exponent_q=exponent_q,
-    )
+    """RunConfig of the given options; absent ones keep the RunConfig defaults."""
+    opts = {k: v for k, v in vars(args).items() if v is not None}
+    if "grid" in opts:
+        opts["grid"] = _parse_grid(opts["grid"])
+    opts["points"] = tuple(_parse_point(t) for t in opts.get("points", ()))
+    opts["r_list"] = tuple(opts.get("r_list", ()))
+    return RunConfig(**opts)
 
 
 def main(argv=None) -> int:

@@ -18,6 +18,7 @@ all outputs are pure functions of their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -42,6 +43,8 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        if not np.all(np.isfinite((self.x0, self.x1, self.y0, self.y1))):
+            raise RangeError("grid bounds must be finite")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise RangeError("grid box must have positive extent")
         if self.nx < 1 or self.ny < 1:
@@ -149,9 +152,6 @@ class SampledCurve:
             ang = np.arange(n) * (2 * np.pi / n)
             curve = SampledCurve(ang, curve.evaluator(ang), curve.evaluator)
         return curve
-
-    def min_distance(self, w: complex) -> float:
-        return float(np.min(np.abs(self.points - w)))
 
 
 def winding(curve: SampledCurve, lam: complex, eps: float) -> int:
@@ -405,26 +405,66 @@ def preimage_multiplicity(sym: FourierSymbol, r: float, w: complex,
     return total
 
 
-# -- grid quadrature and the r -> 1 probe ---------------------------------------------
+# -- the coarse/fine density pair and the r -> 1 probe -----------------------------
 
-def grid_moment(mg: MultiplicityGrid, weights) -> complex:
-    """(1/2 pi i) * sum of weight * m * cell_area over valid cells.
+@dataclass(frozen=True)
+class MeasureDensity:
+    """Complex raster of the measure density (1/2 pi i) * m over a box.
 
-    Masked cells contribute zero; callers combine two resolutions via
-    `extrapolate_moment` to remove the O(h) mask bias.
+    ``values[j, i] = m[j, i] / (2 pi i)`` on valid cells of the coarse grid
+    and 0 on masked ones.  The optional doubled-resolution companion ``fine``
+    turns every integral into the Richardson pair 2*fine - coarse, which
+    removes the O(h) bias of the curve-proximity mask; without it the coarse
+    midpoint sum is reported as is.
     """
-    g = mg.grid
-    if np.isscalar(weights):
-        w = float(weights)
-        tot = w * float(np.sum(mg.masked_values()))
-    else:
-        tot = float(np.sum(np.asarray(weights) * mg.masked_values()))
-    return complex(tot * g.cell_area / (2j * np.pi))
 
+    grid: MultiplicityGrid
+    fine: MultiplicityGrid | None = None
 
-def extrapolate_moment(coarse: complex, fine: complex) -> complex:
-    """Richardson combination 2*fine - coarse; the mask band scales with h."""
-    return 2 * fine - coarse
+    @classmethod
+    def build(cls, sym: FourierSymbol, r: float, grid: GridSpec,
+              eps: float | None = None, refine: bool = True) -> "MeasureDensity":
+        """Rasterize phi_r on grid and, if refine, on its halving with eps / 2."""
+        coarse = multiplicity_grid(sym, r, grid, eps)
+        fine = None
+        if refine:
+            fine = multiplicity_grid(sym, r, grid.refined(),
+                                     None if eps is None else eps / 2.0)
+        return cls(coarse, fine)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return self.grid.masked_values() / (2j * np.pi)
+
+    @property
+    def masked_area_fraction(self) -> float:
+        return self.grid.masked_area_fraction
+
+    def value_at(self, w: complex):
+        m = self.grid.value_at(w)
+        if m is None:
+            return None
+        return complex(m / (2j * np.pi))
+
+    def _richardson(self, integral):
+        coarse = integral(self.grid)
+        if self.fine is None:
+            return coarse, coarse, coarse
+        fine = integral(self.fine)
+        return 2 * fine - coarse, coarse, fine
+
+    def moment(self, weight) -> tuple:
+        """(extrapolated, coarse, fine) of (1/2 pi i) int weight(x, y) m dxdy."""
+        def midpoint(mg: MultiplicityGrid) -> complex:
+            gx, gy = np.meshgrid(mg.grid.centers_x(), mg.grid.centers_y())
+            tot = float(np.sum(weight(gx, gy) * mg.masked_values()))
+            return complex(tot * mg.grid.cell_area / (2j * np.pi))
+        return self._richardson(midpoint)
+
+    def tv(self) -> tuple:
+        """(extrapolated, coarse, fine) of the total variation int |m| / 2 pi."""
+        return self._richardson(lambda mg: float(np.sum(np.abs(mg.masked_values())))
+                                * mg.grid.cell_area / (2 * np.pi))
 
 
 @dataclass(frozen=True)
@@ -456,19 +496,13 @@ def multiplicity_limit_probe(sym: FourierSymbol, r_list, test_polys,
     raw = np.zeros((len(r_values), len(polys), 2), dtype=complex)
     fractions = []
     for i, r in enumerate(r_values):
-        mg = multiplicity_grid(sym, r, grid, eps)
-        mg_fine = multiplicity_grid(sym, r, grid.refined(),
-                                    None if eps is None else eps / 2.0)
-        if mg.masked_area_fraction > 0.10:
+        pair = MeasureDensity.build(sym, r, grid, eps)
+        if pair.masked_area_fraction > 0.10:
             raise MaskCoverageError(
-                f"{100 * mg.masked_area_fraction:.1f}% of the box is masked at r={r}")
-        fractions.append(mg.masked_area_fraction)
-        gx, gy = np.meshgrid(mg.grid.centers_x(), mg.grid.centers_y())
-        fx, fy = np.meshgrid(mg_fine.grid.centers_x(), mg_fine.grid.centers_y())
+                f"{100 * pair.masked_area_fraction:.1f}% of the box is masked at r={r}")
+        fractions.append(pair.masked_area_fraction)
         for k, p in enumerate(polys):
-            coarse = grid_moment(mg, p(gx, gy))
-            fine = grid_moment(mg_fine, p(fx, fy))
+            moments[i, k], coarse, fine = pair.moment(p)
             raw[i, k] = (coarse, fine)
-            moments[i, k] = extrapolate_moment(coarse, fine)
     diffs = np.abs(np.diff(moments, axis=0))
     return MomentProbe(r_values, moments, raw, diffs, tuple(fractions), sym.tail_bound)

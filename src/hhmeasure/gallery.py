@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import polygamma
 
 from .errors import OrderError, RangeError, WindowError
 
@@ -119,6 +118,27 @@ def shift_commutator_diagonal(spec: WeightedShiftSpec) -> dict:
 
 # -- Cesaro operator ---------------------------------------------------------------
 
+# B_2, B_4, ..., B_14: the Bernoulli numbers of the asymptotic trigamma series
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
+
+
+def _trigamma(x):
+    """psi_1(x) = sum_{k>=0} 1/(x+k)^2 for x > 0, scalar or array.
+
+    The recurrence psi_1(x) = 1/x^2 + psi_1(x+1) lifts x to z >= 16, its
+    terms summed smallest first; at z the asymptotic series
+    1/z + 1/(2z^2) + sum_k B_2k / z^(2k+1) is accurate to rounding.
+    """
+    x = np.asarray(x, dtype=float)
+    steps = np.maximum(np.ceil(16.0 - x), 0.0)
+    total = np.zeros_like(x)
+    for k in range(int(np.max(steps, initial=0.0)) - 1, -1, -1):
+        total += np.where(k < steps, 1.0 / (x + k) ** 2, 0.0)
+    z = x + steps
+    series = np.polyval(_BERNOULLI[::-1], 1.0 / (z * z))
+    return total + (1.0 + (0.5 + series / z) / z) / z
+
+
 def cesaro_matrix(n: int) -> np.ndarray:
     """n x n truncation of the averaging operator: row m holds 1/(m+1) up to m."""
     ent = np.tril(np.ones((n, n))) / np.arange(1, n + 1)[:, None]
@@ -136,7 +156,7 @@ def cesaro_commutator(n: int):
     if n < 4:
         raise RangeError("need n >= 4")
     c = cesaro_matrix(n)
-    tail = float(polygamma(1, n + 1))
+    tail = float(_trigamma(n + 1))
     gram = c.T @ c + tail
     co = c @ c.T
     inner = (gram - co)[: n // 2, : n // 2]
@@ -150,7 +170,7 @@ def cesaro_inner_block_exact(m: int) -> np.ndarray:
     idx = np.arange(m)
     mx = np.maximum(idx[:, None], idx[None, :])
     mn = np.minimum(idx[:, None], idx[None, :])
-    gram = polygamma(1, mx + 1)
+    gram = _trigamma(mx + 1)
     co = (mn + 1) / ((idx[:, None] + 1.0) * (idx[None, :] + 1.0))
     return np.asarray(gram - co, dtype=float)
 

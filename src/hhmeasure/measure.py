@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .degree import (GridSpec, MomentProbe, MultiplicityGrid, SampledCurve,
-                     default_grid, extrapolate_moment, grid_moment,
-                     multiplicity_grid, multiplicity_limit_probe, winding)
+from .degree import (GridSpec, MeasureDensity, MomentProbe, SampledCurve,
+                     default_grid, multiplicity_limit_probe, winding)
 from .errors import MaskCoverageError, RangeError, WindingUndefined
 from .operators import commutator_trace, schatten_norm, self_commutator
 from .poly import BivariatePolynomial, jacobian_bracket
@@ -36,55 +35,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeasureDensity:
-    """Complex raster of the measure density (1/2 pi i) * m over a box.
-
-    ``values[j, i] = m[j, i] / (2 pi i)`` on valid cells and 0 on masked
-    ones; a doubled-resolution companion grid supports Richardson-corrected
-    integrals.
-    """
-
-    grid: MultiplicityGrid
-    values: np.ndarray
-    r_used: float
-    tail_note: float
-    fine: MultiplicityGrid | None = None
-
-    @property
-    def masked_area_fraction(self) -> float:
-        return self.grid.masked_area_fraction
-
-    def value_at(self, w: complex):
-        m = self.grid.value_at(w)
-        if m is None:
-            return None
-        return complex(m / (2j * np.pi))
-
-
 def hh_density(sym: FourierSymbol, r: float, grid: GridSpec,
                eps: float | None = None, refine: bool = True) -> MeasureDensity:
     """Density grid of the measure of T_{phi_r} (or T_phi when r = 1)."""
-    mg = multiplicity_grid(sym, r, grid, eps)
-    fine = None
-    if refine:
-        fine = multiplicity_grid(sym, r, grid.refined(),
-                                 None if eps is None else eps / 2.0)
-    values = mg.masked_values() / (2j * np.pi)
-    return MeasureDensity(mg, values, r, sym.tail_bound, fine)
-
-
-def _weighted_integral(density: MeasureDensity, weight_poly: BivariatePolynomial):
-    """(extrapolated, coarse, fine) values of (1/2 pi i) int weight * m."""
-    mg = density.grid
-    gx, gy = np.meshgrid(mg.grid.centers_x(), mg.grid.centers_y())
-    coarse = grid_moment(mg, weight_poly(gx, gy))
-    if density.fine is None:
-        return coarse, coarse, coarse
-    mf = density.fine
-    fx, fy = np.meshgrid(mf.grid.centers_x(), mf.grid.centers_y())
-    fine = grid_moment(mf, weight_poly(fx, fy))
-    return extrapolate_moment(coarse, fine), coarse, fine
+    return MeasureDensity.build(sym, r, grid, eps, refine)
 
 
 @dataclass(frozen=True)
@@ -140,7 +94,7 @@ def trace_formula_check(sym: FourierSymbol, p: BivariatePolynomial,
     lhs, n_used = commutator_trace(sym_eff, p, q, n_override, _details=True)
     density = hh_density(sym, r, grid, eps, refine=True)
     weight = jacobian_bracket(p, q)
-    rhs, coarse, fine = _weighted_integral(density, weight)
+    rhs, coarse, fine = density.moment(weight)
     quad_err = abs(fine - coarse)
     _check_mask_budget(density, weight, rhs)
     return TraceFormulaReport(
@@ -180,14 +134,7 @@ def total_variation(density: MeasureDensity) -> float:
     Computed at the stored resolution and its halving, combined by
     Richardson; the masked-area fraction is available on the density.
     """
-    def tv_of(mg: MultiplicityGrid) -> float:
-        return float(np.sum(np.abs(mg.masked_values()))) * mg.grid.cell_area / (2 * np.pi)
-
-    coarse = tv_of(density.grid)
-    if density.fine is None:
-        return coarse
-    fine = tv_of(density.fine)
-    return 2 * fine - coarse
+    return density.tv()[0]
 
 
 def brown_bound_check(sym: FourierSymbol, r: float, grid: GridSpec | None = None,
@@ -201,13 +148,10 @@ def brown_bound_check(sym: FourierSymbol, r: float, grid: GridSpec | None = None
         grid = default_grid(sym)
     sym_eff = sym.poisson_smooth(r) if r < 1.0 else sym
     density = hh_density(sym, r, grid, eps)
-    tv = total_variation(density)
+    tv, coarse, _ = density.tv()
     n = max(sym_eff.band, 1)
     bound = schatten_norm(self_commutator(sym_eff, n), 1) / 2.0
-    quad_tol = 2e-3 + abs(
-        total_variation(MeasureDensity(density.grid, density.values, r,
-                                       sym.tail_bound, None)) - tv)
-    ok = tv <= bound + quad_tol
+    ok = tv <= bound + (2e-3 + abs(coarse - tv))
     return tv, bound, ok
 
 

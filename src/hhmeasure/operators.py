@@ -67,13 +67,6 @@ class TruncatedMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def block(self, n: int) -> "TruncatedMatrix":
-        if n > self.dim:
-            raise RangeError(f"block size {n} exceeds dim {self.dim}")
-        exact = min(self.exact_block, n) if self.exact_block is not None else None
-        return TruncatedMatrix(n, self.entries[:n, :n], self.provenance + f"|block({n})",
-                               exact, self.selfadjoint)
-
     def to_csv(self) -> str:
         """Row-major dump of re,im pairs with a dim/provenance header."""
         lines = [f"# dim={self.dim} provenance={self.provenance}"]
@@ -290,15 +283,12 @@ def smoothing_trace_identity(sym: FourierSymbol, corner, r: float):
     c_small = self_commutator(sym.poisson_smooth(r), d).entries
     lhs = complex(np.trace(c_small @ x))
 
-    rd = r ** np.arange(d, dtype=float)
-    rxr = (rd[:, None] * x) * rd[None, :]
+    diag = power_diag(r, d).entries
+    rxr = TruncatedMatrix(d, diag @ x @ diag)
     c = self_commutator(sym, d).entries
-    rhs = r ** 2 * complex(np.trace(c @ rxr))
+    rhs = r ** 2 * complex(np.trace(c @ rxr.entries))
     for ell in range(2, band + 1):
-        s = ell - 1
-        big = d + s
-        shifted = np.zeros((big, big), dtype=complex)
-        shifted[s:, s:] = rxr
-        c_big = self_commutator(sym, big).entries
-        rhs -= r ** (2 * ell - 2) * (1 - r ** 2) * complex(np.trace(c_big @ shifted))
+        shifted = shift_conjugate(rxr, ell)
+        c_big = self_commutator(sym, shifted.dim).entries
+        rhs -= r ** (2 * ell - 2) * (1 - r ** 2) * complex(np.trace(c_big @ shifted.entries))
     return lhs, rhs

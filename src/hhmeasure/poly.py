@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 import numpy as np
-
-_TERM_RE = re.compile(r"^[+-]?[^+-]+$")
 
 
 @dataclass(frozen=True)
@@ -128,8 +127,9 @@ def jacobian_bracket(p: BivariatePolynomial, q: BivariatePolynomial) -> Bivariat
 def parse_polynomial(text: str) -> BivariatePolynomial:
     """Parse the explicit monomial syntax, e.g. ``x^2*y + 3*x - 0.5``.
 
-    Terms are joined by + or -; each term is an optional coefficient times
-    optional powers of x and y.  An optional ``poly:`` prefix is stripped.
+    Terms are joined by + or -; each term is an optional finite coefficient
+    (decimal or scientific, e.g. ``1e-3``) times optional powers of x and y.
+    An optional ``poly:`` prefix is stripped.
     """
     s = text.strip()
     if s.startswith("poly:"):
@@ -137,17 +137,16 @@ def parse_polynomial(text: str) -> BivariatePolynomial:
     s = s.replace(" ", "")
     if not s:
         raise ValueError("empty polynomial")
-    s = s.replace("-", "+-")
-    if s.startswith("+"):
-        s = s[1:]
+    terms = re.split(r"(?<![eE])(?=[+-])", s)   # a sign after e/E is an exponent's
+    if not terms[0]:
+        terms = terms[1:]
     coeffs = {}
-    for term in s.split("+"):
+    for term in terms:
+        sign = -1.0 if term[0] == "-" else 1.0
+        if term[0] in "+-":
+            term = term[1:]
         if not term:
             raise ValueError(f"malformed polynomial {text!r}")
-        sign = 1.0
-        if term.startswith("-"):
-            sign = -1.0
-            term = term[1:]
         coef = sign
         i = j = 0
         for factor in term.split("*"):
@@ -163,5 +162,7 @@ def parse_polynomial(text: str) -> BivariatePolynomial:
                 coef *= float(factor)
             except ValueError:
                 raise ValueError(f"bad factor {factor!r} in polynomial {text!r}") from None
+        if not math.isfinite(coef):
+            raise ValueError(f"non-finite coefficient in polynomial {text!r}")
         coeffs[(i, j)] = coeffs.get((i, j), 0.0) + coef
     return BivariatePolynomial(coeffs)

@@ -15,6 +15,7 @@ Phi(z) = F(z) + conj(G(z)) with F, G polynomials (power series) in z.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -86,14 +87,6 @@ class FourierSymbol:
                     )
 
     # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_coeffs(cls, coeffs, tail_bound: float = 0.0,
-                    real_valued: bool = False) -> "FourierSymbol":
-        """Build from a mapping or an iterable of (k, c) pairs."""
-        if not hasattr(coeffs, "items"):
-            coeffs = dict(coeffs)
-        return cls(dict(coeffs), tail_bound, real_valued)
 
     @classmethod
     def from_samples(cls, values) -> "FourierSymbol":
@@ -277,6 +270,12 @@ def _jacobian(sym: FourierSymbol, z):
 
 # -- symbol-spec files ------------------------------------------------------------
 
+def _finite_number(value) -> bool:
+    """A JSON number (not a bool) within the finite float range."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def load_symbol_spec(source) -> FourierSymbol:
     """Load a symbol from the JSON symbol-spec format.
 
@@ -285,7 +284,7 @@ def load_symbol_spec(source) -> FourierSymbol:
         {"type": "finite_band", "coeffs": [{"k": 1, "re": 1.0, "im": 0.0}, ...]}
         {"type": "samples", "values": [[re, im], ...]}   # power-of-two length
 
-    Unknown fields are rejected.
+    Unknown fields and non-finite numbers (NaN, +-Infinity) are rejected.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -312,9 +311,8 @@ def load_symbol_spec(source) -> FourierSymbol:
             k, re, im = item["k"], item["re"], item["im"]
             if not isinstance(k, int) or isinstance(k, bool):
                 raise SchemaError(f"'k' must be an integer, got {k!r}")
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in (re, im)):
-                raise SchemaError(f"'re'/'im' must be numbers, got {item!r}")
+            if not (_finite_number(re) and _finite_number(im)):
+                raise SchemaError(f"'re'/'im' must be finite numbers, got {item!r}")
             coeffs[k] = coeffs.get(k, 0j) + complex(re, im)
         return FourierSymbol(coeffs)
     if kind == "samples":
@@ -326,10 +324,10 @@ def load_symbol_spec(source) -> FourierSymbol:
             raise SchemaError("'values' must be a list")
         samples = []
         for pair in values:
-            if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in pair)):
-                raise SchemaError(f"sample entries must be [re, im] pairs, got {pair!r}")
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(_finite_number(v) for v in pair)):
+                raise SchemaError(
+                    f"sample entries must be [re, im] pairs of finite numbers, got {pair!r}")
             samples.append(complex(pair[0], pair[1]))
         return FourierSymbol.from_samples(samples)
     raise SchemaError(f"unknown symbol spec type {kind!r}")

@@ -98,6 +98,55 @@ class TestValidation:
                                "--grid=-1,1,-1,1,10000,10000")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["gallery", "--symbol", "SYM"],
+        ["measure", "--symbol", "SYM", "--n", "4"],
+        ["measure", "--symbol", "SYM", "--tol", "1e-3"],
+        ["trace-check", "--symbol", "SYM", "--format", "csv"],
+        ["winding", "--symbol", "SYM", "--point", "0,0", "--grid=-1,1,-1,1,4,4"],
+        ["winding", "--symbol", "SYM", "--point", "0,0", "--count", "3"],
+        ["besov", "--symbol", "SYM", "--r", "0.5"],
+        ["gallery", "--r", "0.5"],
+    ])
+    def test_unread_option_exits_2(self, capsys, shift_symbol, argv):
+        argv = [shift_symbol if a == "SYM" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "unrecognized arguments" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--grid=-1.5,1.5,-1.5,1.5,8,8"],
+        ["trace-check", "--p", "x", "--q", "y"],
+        ["winding", "--point", "0,0"],
+        ["index-check", "--count", "2"],
+    ])
+    def test_repeated_r_exits_2(self, capsys, shift_symbol, argv):
+        code, out, err = run_cli(capsys, argv[0], "--symbol", shift_symbol,
+                                 *argv[1:], "--r", "0.5", "--r", "0.9")
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["code"] == "schema"
+
+    def test_nan_coefficient_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"type": "finite_band", "coeffs": [{"k": 1, "re": NaN, "im": 0}]}')
+        for sub in ("besov", "measure"):
+            code, out, err = run_cli(capsys, sub, "--symbol", str(bad))
+            assert code == 2 and out == ""
+            assert json.loads(err)["code"] == "schema"
+
+    @pytest.mark.parametrize("argv", [
+        ["measure", "--grid=-inf,1,-1,1,4,4"],
+        ["winding", "--point", "nan,0"],
+        ["winding", "--point", "0,0", "--tol", "nan"],
+        ["index-check", "--point", "0,inf"],
+        ["trace-check", "--tol", "inf"],
+    ])
+    def test_non_finite_option_exits_2(self, capsys, shift_symbol, argv):
+        code, out, err = run_cli(capsys, argv[0], "--symbol", shift_symbol, *argv[1:])
+        assert code == 2 and out == ""
+        assert "finite" in json.loads(err)["message"]
+
     def test_unknown_subcommand(self, capsys):
         code = main(["frobnicate"])
         assert code == 2

@@ -241,3 +241,10 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(RangeError):
             GridSpec(1, 0, 0, 1, 4, 4)
+
+    @pytest.mark.parametrize("bounds", [
+        (-np.inf, 1, -1, 1), (-1, np.inf, -1, 1), (-1, 1, np.nan, 1), (np.nan,) * 4,
+    ])
+    def test_non_finite_bounds(self, bounds):
+        with pytest.raises(RangeError, match="finite"):
+            GridSpec(*bounds, 4, 4)

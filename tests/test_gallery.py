@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hhmeasure.errors import OrderError, RangeError, WindowError
-from hhmeasure.gallery import (WeightedShiftSpec, cesaro_commutator,
+from hhmeasure.gallery import (WeightedShiftSpec, _trigamma, cesaro_commutator,
                                cesaro_inner_block_exact, cesaro_matrix,
                                hs_cutoff_commutator_norms,
                                perturbation_family_norm, shift_almost_normality,
@@ -122,6 +122,14 @@ class TestCesaro:
         tail = float(polygamma(1, n + 1))
         block = (c.T @ c + tail - c @ c.T)[: n // 2, : n // 2]
         assert np.max(np.abs(block - cesaro_inner_block_exact(n // 2))) < 1e-13
+
+    def test_trigamma_against_scipy(self):
+        x = np.arange(1, 1001, dtype=float)
+        ref = polygamma(1, x)
+        assert np.max(np.abs(_trigamma(x) - ref) / ref) < 2e-15
+        assert float(_trigamma(65)) == pytest.approx(float(polygamma(1, 65)), rel=2e-15)
+        frac = np.linspace(0.05, 20.0, 400)
+        assert np.allclose(_trigamma(frac), polygamma(1, frac), rtol=2e-15, atol=0)
 
     def test_requires_n_ge_4(self):
         with pytest.raises(RangeError):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hhmeasure import FourierSymbol
+from hhmeasure import degree
 from hhmeasure.degree import GridSpec, default_grid
 from hhmeasure.errors import RangeError, WindingUndefined
 from hhmeasure.measure import (brown_bound_check, hh_density, index_check,
@@ -37,6 +38,39 @@ class TestHHDensity:
         valid = ~d.grid.invalid
         recon = d.values[valid] * (2j * np.pi)
         assert np.max(np.abs(recon - np.round(recon.real))) < 1e-12
+
+
+class TestDensityPair:
+    GRID = GridSpec(-1.5, 1.5, -1.5, 1.5, 150, 150)
+
+    def test_one_type_in_both_modules(self):
+        from hhmeasure import measure
+        assert measure.MeasureDensity is degree.MeasureDensity
+
+    def test_build_halves_eps_on_the_fine_grid(self):
+        d = degree.MeasureDensity.build(SHIFT, 1.0, self.GRID, eps=0.08)
+        assert d.grid.grid == self.GRID and d.grid.eps == 0.08
+        assert d.fine.grid == self.GRID.refined() and d.fine.eps == 0.04
+        assert degree.MeasureDensity.build(SHIFT, 1.0, self.GRID, refine=False).fine is None
+
+    def test_richardson_pair(self):
+        d = hh_density(SHIFT, 1.0, self.GRID)
+        tv, coarse, fine = d.tv()
+        assert tv == 2 * fine - coarse == total_variation(d)
+        moment, coarse, fine = d.moment(P.constant(1.0))
+        assert moment == 2 * fine - coarse
+        assert moment == pytest.approx(-0.5j, abs=2e-3)   # area pi / (2 pi i)
+
+    def test_coarse_only_reports_coarse(self):
+        d = hh_density(SHIFT, 1.0, self.GRID, refine=False)
+        tv, coarse, fine = d.tv()
+        assert tv == coarse == fine
+        assert len(set(d.moment(P.x() * P.x()))) == 1
+
+    def test_values_computed_once(self):
+        d = hh_density(SHIFT, 1.0, self.GRID, refine=False)
+        assert d.values is d.values
+        assert np.array_equal(d.values, d.grid.masked_values() / (2j * np.pi))
 
 
 class TestTraceFormula:

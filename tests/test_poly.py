@@ -40,12 +40,16 @@ def test_evaluate_arrays():
     ("2", {(0, 0): 2.0}),
     ("0.5*x*y - y", {(1, 1): 0.5, (0, 1): -1.0}),
     ("-x + x", {}),
+    ("1e-3*x", {(1, 0): 1e-3}),
+    ("x-1e-3", {(1, 0): 1.0, (0, 0): -1e-3}),
+    ("2.5E+2*y - 1e2", {(0, 1): 250.0, (0, 0): -100.0}),
 ])
 def test_parse(text, coeffs):
     assert parse_polynomial(text).coeffs == coeffs
 
 
-@pytest.mark.parametrize("text", ["", "x**2", "x^", "q*y", "1..2*x"])
+@pytest.mark.parametrize("text", ["", "x**2", "x^", "q*y", "1..2*x", "x+-y", "e-3*x",
+                                  "nan*x", "inf", "x-1e999"])
 def test_parse_rejects(text):
     with pytest.raises(ValueError):
         parse_polynomial(text)

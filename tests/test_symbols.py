@@ -210,6 +210,12 @@ class TestSymbolSpecFiles:
         {"type": "finite_band", "coeffs": [], "surprise": True},
         {"type": "samples", "values": [[0, 0], [1]]},
         {"type": "samples", "values": "nope"},
+        {"type": "finite_band", "coeffs": [{"k": 1, "re": float("nan"), "im": 0.0}]},
+        {"type": "finite_band", "coeffs": [{"k": 1, "re": 1.0, "im": float("inf")}]},
+        {"type": "finite_band", "coeffs": [{"k": 2, "re": -float("inf"), "im": 0.0}]},
+        {"type": "finite_band", "coeffs": [{"k": 1, "re": 10 ** 400, "im": 0}]},
+        {"type": "samples", "values": [[1.0, 0.0], [float("nan"), 1.0], [-1.0, 0.0],
+                                       [0.0, -1.0]]},
     ])
     def test_rejects_malformed(self, doc):
         with pytest.raises(SchemaError):

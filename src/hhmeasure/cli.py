@@ -19,11 +19,14 @@ from . import gallery as gallery_mod
 from .degree import GridSpec, SampledCurve, default_grid, winding
 from .errors import (NUMERICAL_ERRORS, VALIDATION_ERRORS, HHMeasureError,
                      RangeError, WindingUndefined)
-from .measure import hh_density, index_check, smoothing_limit_probe, trace_formula_check
+from .measure import (MeasureDensity, hh_density, index_check, smoothing_limit_probe,
+                      trace_formula_check)
 from .poly import BivariatePolynomial, parse_polynomial
 from .symbols import FourierSymbol, load_symbol_spec
 
 _MAX_CELLS = 10 ** 7
+# subcommands that also rasterize the halved grid, with four times the cells
+_REFINING = ("trace-check", "smooth-limit")
 
 
 def _fmt(x: float) -> str:
@@ -88,8 +91,12 @@ class RunConfig:
     exponent_q: float | None = None
 
     def __post_init__(self):
-        if self.grid is not None and self.grid.nx * self.grid.ny > _MAX_CELLS:
-            raise RangeError(f"grid exceeds the {_MAX_CELLS} cell guard")
+        if self.grid is not None:
+            cells = self.grid.nx * self.grid.ny
+            if self.subcommand in _REFINING:
+                cells *= 4
+            if cells > _MAX_CELLS:
+                raise RangeError(f"{cells} grid cells exceed the {_MAX_CELLS} cell guard")
         for r in self.r_list:
             if not 0.0 < r <= 1.0:
                 raise RangeError(f"r must lie in (0,1], got {r}")
@@ -97,6 +104,8 @@ class RunConfig:
             raise RangeError(f"tol must be finite, got {self.tol}")
         if self.format not in ("json", "csv"):
             raise RangeError(f"format must be json or csv, got {self.format}")
+        if self.count < 1:
+            raise RangeError(f"count must be >= 1, got {self.count}")
 
 
 def _parse_grid(text: str) -> GridSpec:
@@ -140,49 +149,84 @@ def _poly_or(text: str | None, fallback: BivariatePolynomial) -> BivariatePolyno
         raise RangeError(str(exc)) from exc
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _emit(config: RunConfig, chunks) -> None:
+    """Write an iterable of str chunks to --out, or to stdout without it.
+
+    Callers do everything that can fail first, so a failed run opens no file.
+    """
     if config.out_path:
         with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 # -- subcommand bodies ---------------------------------------------------------
+
+def _cell_codes(density: MeasureDensity) -> tuple:
+    """(codes, table): each cell's code and, per code, its (re, im, valid).
+
+    Cells share a code iff they share multiplicity and validity, and so share
+    the bytes of their values; the table formats each code once, from its
+    first cell.  Codes come from the integers, not the complex values, which
+    would merge 0.0 and -0.0.
+    """
+    mg = density.grid
+    key = (mg.masked_values() * 2 + ~mg.invalid).ravel()
+    _, first, codes = np.unique(key, return_index=True, return_inverse=True)
+    values = density.values.ravel()[first]
+    table = [(_fmt(v.real), _fmt(v.imag), bool(k & 1))
+             for v, k in zip(values, key[first].tolist())]
+    return codes.reshape(mg.invalid.shape), table
+
+
+def _csv_rows(head: str, sx: list, sy: list, codes: np.ndarray, table: list):
+    """Lines x,y,re,im,valid after head, one chunk per grid row."""
+    tails = [f",{re},{im},{1 if valid else 0}\n" for re, im, valid in table]
+    yield head
+    for y, row in zip(sy, codes):
+        tab = ["," + y + tail for tail in tails]
+        yield "".join(map(str.__add__, sx, map(tab.__getitem__, row.tolist())))
+
+
+def _json_cells(rest: str, sx: list, sy: list, codes: np.ndarray, table: list):
+    """The _dump_json document of cells and the keys of rest, one chunk per row.
+
+    "cells" sorts before every key of rest, so it opens the document.
+    """
+    heads = [f'    {{\n      "im": {im},\n      "re": {re},\n'
+             f'      "valid": {"true" if valid else "false"},\n      "x": '
+             for re, im, valid in table]
+    yield '{\n  "cells": [\n'
+    sep = ""
+    for y, row in zip(sy, codes):
+        tail = ',\n      "y": ' + y + "\n    }"
+        cells = map(str.__add__, map(heads.__getitem__, row.tolist()),
+                    [x + tail for x in sx])
+        yield sep + ",\n".join(cells)
+        sep = ",\n"
+    yield "\n  ],\n" + rest.removeprefix("{\n") + "\n"
+
 
 def _run_measure(config: RunConfig) -> int:
     sym = _load_symbol(config)
     r = _radius(config, sym)
     grid = config.grid or default_grid(sym)
     density = hh_density(sym, r, grid, refine=False)
-    mg = density.grid
+    codes, table = _cell_codes(density)
+    sx = [_fmt(x) for x in grid.centers_x()]
+    sy = [_fmt(y) for y in grid.centers_y()]
     if config.format == "csv":
-        lines = [
-            f"# grid=({_fmt(grid.x0)},{_fmt(grid.x1)},{_fmt(grid.y0)},{_fmt(grid.y1)})"
-            f" nx={grid.nx} ny={grid.ny} r={_fmt(r)}"
-            f" tail_bound={_fmt(sym.tail_bound)}"
-            f" masked_area_fraction={_fmt(density.masked_area_fraction)}",
-            "x,y,density_re,density_im,valid",
-        ]
-        cx, cy = grid.centers_x(), grid.centers_y()
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                v = density.values[j, i]
-                lines.append(f"{_fmt(cx[i])},{_fmt(cy[j])},{_fmt(v.real)},{_fmt(v.imag)},"
-                             f"{0 if mg.invalid[j, i] else 1}")
-        _emit(config, "\n".join(lines) + "\n")
+        head = (f"# grid=({_fmt(grid.x0)},{_fmt(grid.x1)},{_fmt(grid.y0)},{_fmt(grid.y1)})"
+                f" nx={grid.nx} ny={grid.ny} r={_fmt(r)}"
+                f" tail_bound={_fmt(sym.tail_bound)}"
+                f" masked_area_fraction={_fmt(density.masked_area_fraction)}\n"
+                "x,y,density_re,density_im,valid\n")
+        _emit(config, _csv_rows(head, sx, sy, codes, table))
     else:
-        cells = []
-        cx, cy = grid.centers_x(), grid.centers_y()
-        for j in range(grid.ny):
-            for i in range(grid.nx):
-                v = density.values[j, i]
-                cells.append({"x": float(cx[i]), "y": float(cy[j]),
-                              "re": float(v.real), "im": float(v.imag),
-                              "valid": not bool(mg.invalid[j, i])})
-        doc = {"grid": grid.to_dict(), "r": r, "tail_bound": sym.tail_bound,
-               "masked_area_fraction": density.masked_area_fraction, "cells": cells}
-        _emit(config, _dump_json(doc) + "\n")
+        rest = _dump_json({"grid": grid.to_dict(), "r": r, "tail_bound": sym.tail_bound,
+                           "masked_area_fraction": density.masked_area_fraction})
+        _emit(config, _json_cells(rest, sx, sy, codes, table))
     return 0
 
 
@@ -193,7 +237,7 @@ def _run_trace_check(config: RunConfig) -> int:
     r = _radius(config, sym)
     grid = config.grid or default_grid(sym)
     report = trace_formula_check(sym, p, q, grid, r, n_override=config.n_override)
-    _emit(config, _dump_json(report.to_dict()) + "\n")
+    _emit(config, [_dump_json(report.to_dict()) + "\n"])
     if config.tol is not None and report.abs_err > config.tol:
         _diagnostic("tolerance", RangeError(
             f"abs_err {report.abs_err:g} exceeds --tol {config.tol:g}"))
@@ -212,8 +256,8 @@ def _run_winding(config: RunConfig) -> int:
     for lam in config.points:
         w = winding(curve, lam, eps)
         rows.append({"lambda": {"re": lam.real, "im": lam.imag}, "winding": w})
-    _emit(config, _dump_json({"r": r, "eps": eps, "rows": rows,
-                              "tail_bound": sym.tail_bound}) + "\n")
+    _emit(config, [_dump_json({"r": r, "eps": eps, "rows": rows,
+                               "tail_bound": sym.tail_bound}) + "\n"])
     return 0
 
 
@@ -240,9 +284,9 @@ def _run_index_check(config: RunConfig) -> int:
         all_ok &= ok
         rows.append({"lambda": {"re": lam.real, "im": lam.imag}, "winding": wind,
                      "density": {"re": value.real, "im": value.imag}, "ok": ok})
-    _emit(config, _dump_json({"r": r, "all_ok": all_ok, "rows": rows,
-                              "tail_bound": sym.tail_bound,
-                              "masked_area_fraction": density.masked_area_fraction}) + "\n")
+    _emit(config, [_dump_json({"r": r, "all_ok": all_ok, "rows": rows,
+                               "tail_bound": sym.tail_bound,
+                               "masked_area_fraction": density.masked_area_fraction}) + "\n"])
     return 0
 
 
@@ -253,7 +297,7 @@ def _run_smooth_limit(config: RunConfig) -> int:
     r_list = config.r_list or (0.9, 0.99, 0.999)
     grid = config.grid or default_grid(sym)
     report = smoothing_limit_probe(sym, p, q, r_list, grid)
-    _emit(config, _dump_json(report.to_dict()) + "\n")
+    _emit(config, [_dump_json(report.to_dict()) + "\n"])
     return 0
 
 
@@ -266,7 +310,7 @@ def _run_besov(config: RunConfig) -> int:
     if config.exponent_q is not None:
         verdict = besov_mod.almost_normal_sufficient(sym, p, config.exponent_q)
         doc["almost_normal_sufficient"] = verdict.to_dict()
-    _emit(config, _dump_json(doc) + "\n")
+    _emit(config, [_dump_json(doc) + "\n"])
     return 0
 
 
@@ -284,9 +328,9 @@ def _run_gallery(config: RunConfig) -> int:
         for row in rows:
             lines.append(f"{row['case']},{row['quantity']},"
                          f"{cell(row['computed'])},{cell(row['closed_form'])}")
-        _emit(config, "\n".join(lines) + "\n")
+        _emit(config, ["\n".join(lines) + "\n"])
     else:
-        _emit(config, _dump_json({"rows": rows}) + "\n")
+        _emit(config, [_dump_json({"rows": rows}) + "\n"])
     return 0
 
 

@@ -49,6 +49,9 @@ class GridSpec:
             raise RangeError("grid box must have positive extent")
         if self.nx < 1 or self.ny < 1:
             raise RangeError("grid resolution must be >= 1")
+        # finite bounds can still overflow their difference, and so hx and hy
+        if not np.all(np.isfinite((self.x1 - self.x0, self.y1 - self.y0))):
+            raise RangeError("grid extent and cell size must be finite")
 
     @property
     def hx(self) -> float:
@@ -75,6 +78,10 @@ class GridSpec:
 
     def centers_y(self) -> np.ndarray:
         return self.y0 + (np.arange(self.ny) + 0.5) * self.hy
+
+    def mesh(self) -> tuple:
+        """(x, y) of every cell center, each of shape (ny, nx)."""
+        return np.meshgrid(self.centers_x(), self.centers_y())
 
     def refined(self) -> "GridSpec":
         return GridSpec(self.x0, self.x1, self.y0, self.y1, 2 * self.nx, 2 * self.ny)
@@ -453,11 +460,18 @@ class MeasureDensity:
         fine = integral(self.fine)
         return 2 * fine - coarse, coarse, fine
 
-    def moment(self, weight) -> tuple:
-        """(extrapolated, coarse, fine) of (1/2 pi i) int weight(x, y) m dxdy."""
+    def moment(self, weight, coarse_weight: np.ndarray | None = None) -> tuple:
+        """(extrapolated, coarse, fine) of (1/2 pi i) int weight(x, y) m dxdy.
+
+        ``coarse_weight`` is weight already evaluated on the coarse mesh, for
+        callers that need those values too.
+        """
         def midpoint(mg: MultiplicityGrid) -> complex:
-            gx, gy = np.meshgrid(mg.grid.centers_x(), mg.grid.centers_y())
-            tot = float(np.sum(weight(gx, gy) * mg.masked_values()))
+            if mg is self.grid and coarse_weight is not None:
+                wvals = coarse_weight
+            else:
+                wvals = weight(*mg.grid.mesh())
+            tot = float(np.sum(wvals * mg.masked_values()))
             return complex(tot * mg.grid.cell_area / (2j * np.pi))
         return self._richardson(midpoint)
 

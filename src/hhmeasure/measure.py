@@ -94,9 +94,10 @@ def trace_formula_check(sym: FourierSymbol, p: BivariatePolynomial,
     lhs, n_used = commutator_trace(sym_eff, p, q, n_override, _details=True)
     density = hh_density(sym, r, grid, eps, refine=True)
     weight = jacobian_bracket(p, q)
-    rhs, coarse, fine = density.moment(weight)
+    wvals = weight(*density.grid.grid.mesh())
+    rhs, coarse, fine = density.moment(weight, wvals)
     quad_err = abs(fine - coarse)
-    _check_mask_budget(density, weight, rhs)
+    _check_mask_budget(density, wvals, rhs)
     return TraceFormulaReport(
         lhs=lhs, rhs=rhs, abs_err=abs(lhs - rhs), quad_err_estimate=quad_err,
         n_used=n_used, grid=grid,
@@ -104,21 +105,21 @@ def trace_formula_check(sym: FourierSymbol, p: BivariatePolynomial,
         rhs_coarse=coarse, rhs_fine=fine, tail_bound=sym.tail_bound)
 
 
-def _check_mask_budget(density: MeasureDensity, weight: BivariatePolynomial,
+def _check_mask_budget(density: MeasureDensity, wvals: np.ndarray,
                        rhs: complex) -> None:
     """Reject reports whose masked band could swallow the signal.
 
     The Richardson combination removes the first-order mask bias, so the
     gate only fires when the mask is genuinely out of control: more than
     10% of the box masked, or a crude bound on the masked contribution
-    exceeding half of the total absolute contribution.
+    exceeding half of the total absolute contribution.  ``wvals`` is the
+    weight on the coarse cell centers.
     """
     mg = density.grid
     if mg.masked_area_fraction > 0.10:
         raise MaskCoverageError(
             f"{100 * mg.masked_area_fraction:.1f}% of the box is masked")
-    gx, gy = np.meshgrid(mg.grid.centers_x(), mg.grid.centers_y())
-    wvals = np.abs(np.asarray(weight(gx, gy), dtype=float))
+    wvals = np.abs(wvals)
     m_bound = float(np.max(np.abs(mg.masked_values()), initial=0.0))
     cell = mg.grid.cell_area / (2 * np.pi)
     masked_est = float(np.sum(wvals[mg.invalid])) * m_bound * cell

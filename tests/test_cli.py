@@ -98,6 +98,36 @@ class TestValidation:
                                "--grid=-1,1,-1,1,10000,10000")
         assert code == 2
 
+    @pytest.mark.parametrize("sub", ["trace-check", "smooth-limit"])
+    def test_grid_guard_counts_refined_grid(self, capsys, shift_symbol, monkeypatch, sub):
+        from hhmeasure import degree
+
+        def no_raster(*args, **kwargs):
+            raise AssertionError("rasterized past the cell guard")
+
+        monkeypatch.setattr(degree, "multiplicity_grid", no_raster)
+        code, out, err = run_cli(capsys, sub, "--symbol", shift_symbol,
+                                 "--grid=-2,2,-2,2,2000,2000")
+        assert code == 2 and out == ""
+        assert "cell guard" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_one_exits_2(self, capsys, shift_symbol, count):
+        code, out, err = run_cli(capsys, "index-check", "--symbol", shift_symbol,
+                                 "--count", count, "--grid=-1.5,1.5,-1.5,1.5,20,20")
+        assert code == 2 and out == ""
+        assert json.loads(err)["code"] == "schema"
+
+    @pytest.mark.parametrize("sub", ["trace-check", "index-check"])
+    def test_overflowing_default_grid_exits_2(self, capsys, tmp_path, sub):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"type": "finite_band",
+                                    "coeffs": [{"k": 1, "re": 1e308, "im": 0.0}]}))
+        code, out, err = run_cli(capsys, sub, "--symbol", str(huge))
+        assert code == 2 and out == ""
+        diagnostic = json.loads(err)
+        assert diagnostic["code"] == "schema" and "finite" in diagnostic["message"]
+
     @pytest.mark.parametrize("argv", [
         ["gallery", "--symbol", "SYM"],
         ["measure", "--symbol", "SYM", "--n", "4"],

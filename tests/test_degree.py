@@ -248,3 +248,8 @@ class TestGridSpec:
     def test_non_finite_bounds(self, bounds):
         with pytest.raises(RangeError, match="finite"):
             GridSpec(*bounds, 4, 4)
+
+    @pytest.mark.parametrize("bounds", [(-1e308, 1e308, -1, 1), (-1, 1, -1.5e308, 1e308)])
+    def test_overflowing_extent(self, bounds):
+        with pytest.raises(RangeError, match="finite"):
+            GridSpec(*bounds, 4, 4)

@@ -2,8 +2,10 @@
 
 Each case runs ``hhmeasure.cli.main`` in process on a small grid and compares
 the sha256 of the output file with a digest recorded before the coarse/fine
-pair refactor.  A digest changes only when an output byte changes; a
-deliberate change of output must update the digest and say so in CHANGES.md.
+pair refactor; the ``zz`` and ``conj`` cases were recorded before ``measure``
+streamed its rows from format tables.  A digest changes only when an output
+byte changes; a deliberate change of output must update the digest and say so
+in CHANGES.md.
 """
 
 import hashlib
@@ -16,6 +18,10 @@ from hhmeasure.cli import main
 SYMBOLS = {
     "shift": {1: 1.0},
     "band2": {1: 1.0, 2: 0.4, -1: 0.2},
+    # density values 0, 1 and 2 (over 2 pi i) with masked cells
+    "zz": {2: 1.0, -1: 0.5},
+    # negative multiplicity
+    "conj": {-1: 1.0},
 }
 
 SHIFT_BOX = "--grid=-1.5,1.5,-1.5,1.5"
@@ -29,6 +35,9 @@ CASES = {
     "measure-json-band2": ("measure", "band2",
                            [BAND2_BOX + ",24,24", "--format", "json"], "json"),
     "measure-csv-band2": ("measure", "band2", [BAND2_BOX + ",40,40"], "csv"),
+    "measure-csv-zz": ("measure", "zz", ["--grid=-2,2,-2,2,36,36"], "csv"),
+    "measure-json-conj": ("measure", "conj", [SHIFT_BOX + ",24,24", "--format", "json"],
+                          "json"),
     "trace-check-shift": ("trace-check", "shift",
                           ["--p", "x", "--q", "y", SHIFT_BOX + ",150,150"], "json"),
     "trace-check-band2": ("trace-check", "band2",
@@ -68,7 +77,9 @@ DIGESTS = {
     "measure-csv-band2": "56707e483a83c31bfce0282640d9501fd0ec35d4cbbd55025c09e8bc6d804bee",
     "measure-csv-shift": "c82b9b87f9806be98fe7fa6ab78a7448deda99ff4a0a454eec284a8a97a95fce",
     "measure-csv-shift-r": "3d1a34fc71366657ee940e1aff54d0ea640fd664187e1387750dc2c26652deb5",
+    "measure-csv-zz": "d1c00e7b29544837041060c86bda8bd6d41d4975b9e3756d58ba6860d79ad2e4",
     "measure-json-band2": "a931cdf41721890b62c6e77942c73e5d00384074bee2de3e6c785ed292500bdc",
+    "measure-json-conj": "751682786676746613496a0e8ed8a9aa54a7006aeb936b0b96989f9c3b9115fe",
     "smooth-limit-band2": "d4f77b77acc084b0aa825a558bee0e29ad2ba592cf72c66cf6f04b2fa026a594",
     "smooth-limit-shift": "edea58e760533597eac86d72ee1b8d7a84f8d9e0d4285851aebb23edd2260769",
     "trace-check-band2": "29f70cd8c1358685751d2b486a7443a28cf2896a7c42a7dc65951d9e9e294ffd",
@@ -85,14 +96,19 @@ def write_symbol(path, coeffs) -> str:
     return str(path)
 
 
-def run_case(name, workdir) -> bytes:
-    """Exit code 0 and the output bytes of one case."""
-    sub, symbol, extra, ext = CASES[name]
-    out = workdir / f"{name}.{ext}"
+def case_argv(name, workdir) -> list:
+    """Command line of one case, without --out."""
+    sub, symbol, extra, _ = CASES[name]
     argv = [sub]
     if symbol is not None:
         argv += ["--symbol", write_symbol(workdir / f"{symbol}.json", SYMBOLS[symbol])]
-    code = main(argv + extra + ["--out", str(out)])
+    return argv + extra
+
+
+def run_case(name, workdir) -> bytes:
+    """Exit code 0 and the output bytes of one case."""
+    out = workdir / f"{name}.{CASES[name][3]}"
+    code = main(case_argv(name, workdir) + ["--out", str(out)])
     assert code == 0, f"{name} exited {code}"
     return out.read_bytes()
 
@@ -101,6 +117,14 @@ def run_case(name, workdir) -> bytes:
 def test_output_digest(name, tmp_path):
     digest = hashlib.sha256(run_case(name, tmp_path)).hexdigest()
     assert digest == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["measure-csv-zz", "measure-json-conj"])
+def test_stdout_matches_out_file(name, tmp_path, capsys):
+    expected = run_case(name, tmp_path)
+    capsys.readouterr()
+    assert main(case_argv(name, tmp_path)) == 0
+    assert capsys.readouterr().out.encode("utf-8") == expected
 
 
 def test_every_subcommand_pinned():

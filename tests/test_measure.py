@@ -67,6 +67,11 @@ class TestDensityPair:
         assert tv == coarse == fine
         assert len(set(d.moment(P.x() * P.x()))) == 1
 
+    def test_moment_takes_coarse_weight_values(self):
+        d = hh_density(SHIFT, 1.0, self.GRID)
+        w = P.monomial(2, 1) + P.y()
+        assert d.moment(w, w(*self.GRID.mesh())) == d.moment(w)
+
     def test_values_computed_once(self):
         d = hh_density(SHIFT, 1.0, self.GRID, refine=False)
         assert d.values is d.values
@@ -99,6 +104,23 @@ class TestTraceFormula:
             p, q = pairs[int(rng.integers(0, len(pairs)))]
             rep = trace_formula_check(sym, p, q, r=0.95)
             assert rep.abs_err <= max(5e-3, 3 * rep.quad_err_estimate)
+
+    def test_weight_evaluated_once_per_grid(self, monkeypatch):
+        from hhmeasure import measure
+        shapes = []
+        bracket = measure.jacobian_bracket
+
+        def counting_bracket(p, q):
+            weight = bracket(p, q)
+
+            def evaluate(x, y):
+                shapes.append(np.shape(x))
+                return weight(x, y)
+            return evaluate
+
+        monkeypatch.setattr(measure, "jacobian_bracket", counting_bracket)
+        trace_formula_check(SHIFT, P.x(), P.y(), SHIFT_GRID, 1.0)
+        assert shapes == [(300, 300), (600, 600)]
 
     def test_box_containment_precondition(self):
         small = GridSpec(-0.5, 0.5, -0.5, 0.5, 20, 20)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConjugateError, RangeError, TailError
+from .errors import ConjugateError, NonFiniteError, RangeError, TailError
 from .operators import hankel_matrix, schatten_norm
 from .symbols import FourierSymbol
 
@@ -76,7 +76,10 @@ def _radial_panels(rho: float) -> np.ndarray:
 
 
 def _disk_integral_partials(integrand, radii, band: int) -> list[float]:
-    """Cumulative integrals of integrand(r, theta-array) over growing disks."""
+    """Cumulative integrals of integrand(r, theta-array) over growing disks.
+
+    Raises NonFiniteError when a partial overflows the float range.
+    """
     n_theta = max(128, 8 * band + 16)
     thetas = np.arange(n_theta) * (2 * np.pi / n_theta)
     d_theta = 2 * np.pi / n_theta
@@ -87,11 +90,14 @@ def _disk_integral_partials(integrand, radii, band: int) -> list[float]:
         edges = _radial_panels(rho)
         lo = np.searchsorted(edges, prev)
         seg_edges = np.concatenate(([prev], edges[lo:][edges[lo:] > prev]))
-        for a, b in zip(seg_edges[:-1], seg_edges[1:]):
-            nodes = (b - a) / 2 * _GAUSS_NODES + (a + b) / 2
-            for r, wgt in zip(nodes, _GAUSS_WEIGHTS * (b - a) / 2):
-                ring = float(np.sum(integrand(r, thetas))) * d_theta * r
-                total += wgt * ring
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in zip(seg_edges[:-1], seg_edges[1:]):
+                nodes = (b - a) / 2 * _GAUSS_NODES + (a + b) / 2
+                for r, wgt in zip(nodes, _GAUSS_WEIGHTS * (b - a) / 2):
+                    ring = float(np.sum(integrand(r, thetas))) * d_theta * r
+                    total += wgt * ring
+        if not math.isfinite(total):
+            raise NonFiniteError(f"disk integral up to radius {rho:g} is not finite: {total}")
         partials.append(total)
         prev = rho
     return partials

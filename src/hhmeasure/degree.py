@@ -5,8 +5,13 @@ Two independent routes to the same integers:
 * `winding` accumulates argument increments along an adaptively refined
   curve (the classical argument principle), one query point at a time.
 * `multiplicity_grid` rasterizes the winding number over a whole grid with
-  an exact crossing-count sweep per row, which is deterministic, integer-
-  exact with respect to the sampled polygon, and fast enough for fine grids.
+  an exact crossing-count sweep driven by the polygon's edges: each edge is
+  expanded into the grid rows it crosses, the crossing orientations go into
+  a per-row difference array, and one reverse cumulative sum turns them into
+  windings.  The result is deterministic and integer-exact with respect to
+  the sampled polygon, and its cost grows with the crossings and the cells,
+  not with rows times edges.  Cells within eps of a curve sample are masked
+  by testing a fixed table of cell offsets around every sample.
 * `preimage_multiplicity` counts disk preimages with Jacobian signs by a
   subdivided Newton iteration and serves as the oracle for the degree
   identity wind(phi, w) = sum sgn J over preimages.
@@ -17,7 +22,7 @@ all outputs are pure functions of their inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
@@ -147,18 +152,25 @@ class SampledCurve:
         return cls(ang, evaluate(ang), evaluate)
 
     def refine_to_chord(self, target: float) -> "SampledCurve":
-        """Uniformly double the sampling until every chord is below target."""
+        """Uniformly double the sampling until every chord is below target.
+
+        Raises NonIntegerError when the chord target is out of reach: the
+        curve cannot be refined, or doubling would pass _MAX_CURVE_POINTS.
+        """
         curve = self
-        while curve.points.size < _MAX_CURVE_POINTS:
+        while True:
             closed = np.append(curve.points, curve.points[0])
-            if np.max(np.abs(np.diff(closed))) <= target:
-                break
-            if not curve.refinable:
-                break
+            chord = float(np.max(np.abs(np.diff(closed))))
+            if chord <= target:
+                return curve
+            if not curve.refinable or curve.points.size >= _MAX_CURVE_POINTS:
+                raise NonIntegerError(
+                    f"curve under-resolved: max chord {chord:g} above target {target:g}"
+                    f" at {curve.points.size} points"
+                    + ("" if curve.refinable else " and the curve is not refinable"))
             n = 2 * curve.angles.size
             ang = np.arange(n) * (2 * np.pi / n)
             curve = SampledCurve(ang, curve.evaluator(ang), curve.evaluator)
-        return curve
 
 
 def winding(curve: SampledCurve, lam: complex, eps: float) -> int:
@@ -205,7 +217,8 @@ class MultiplicityGrid:
 
     ``values[j, i]`` belongs to the cell center (centers_x[i], centers_y[j]);
     invalid cells (curve within eps of the center) carry no value and are
-    stored as 0 with the mask set.
+    stored as 0 with the mask set.  ``curve`` is the refined curve the raster
+    was made from, if known.
     """
 
     grid: GridSpec
@@ -215,6 +228,7 @@ class MultiplicityGrid:
     r_used: float
     curve_points: int
     tail_bound: float = 0.0
+    curve: SampledCurve | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.int64)
@@ -222,6 +236,8 @@ class MultiplicityGrid:
         shape = (self.grid.ny, self.grid.nx)
         if vals.shape != shape or mask.shape != shape:
             raise RangeError(f"value/mask arrays must have shape {shape}")
+        if np.any(vals[mask]):
+            raise RangeError("invalid cells must store the value 0")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "invalid", mask)
 
@@ -237,8 +253,8 @@ class MultiplicityGrid:
         return int(self.values[loc])
 
     def masked_values(self) -> np.ndarray:
-        """Values with invalid cells zeroed, for quadrature."""
-        return np.where(self.invalid, 0, self.values)
+        """Values with invalid cells zeroed, for quadrature: ``values`` itself."""
+        return self.values
 
     def to_csv(self) -> str:
         g = self.grid
@@ -259,53 +275,68 @@ class MultiplicityGrid:
 def _polygon_windings(pts: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """Exact winding numbers of a closed polygon around every grid center.
 
-    Per row, edges crossing the horizontal line are collected with their
-    crossing abscissae and orientations; the winding at a center is the
-    signed count of crossings strictly to its right (ray casting).
+    Ray casting to the right, driven by edges: an edge crosses the rows whose
+    center line lies in its half-open span [min(y1, y2), max(y1, y2)), which
+    two `searchsorted` calls find.  Each (edge, row) crossing adds its
+    orientation to a per-row difference array at the last cell center left
+    of the crossing abscissa; a reverse cumulative sum along each row then
+    gives the signed count of crossings strictly to the right of every center.
     """
     x1, y1 = pts.real, pts.imag
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    first = np.searchsorted(cy, np.minimum(y1, y2), "left")
+    count = np.searchsorted(cy, np.maximum(y1, y2), "left") - first
+    edge = np.repeat(np.arange(pts.size), count)
+    # the crossing's row: its edge's first row plus its rank among that edge's crossings
+    row = np.arange(edge.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    ex, ey = x1[edge], y1[edge]
+    t = (cy[row] - ey) / (y2[edge] - ey)
+    xs = ex + t * (x2[edge] - ex)
+    # k centers lie strictly left of the crossing; k = 0 counts for none
+    k = np.searchsorted(cx, xs, "left")
+    right = k > 0
     out = np.zeros((cy.size, cx.size), dtype=np.int64)
-    for j, yc in enumerate(cy):
-        below1 = y1 <= yc
-        cross = below1 != (y2 <= yc)
-        if not np.any(cross):
-            continue
-        sgn = np.where(below1[cross], 1, -1)
-        t = (yc - y1[cross]) / (y2[cross] - y1[cross])
-        xs = x1[cross] + t * (x2[cross] - x1[cross])
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
-        prefix = np.concatenate(([0], np.cumsum(sgn[order])))
-        idx = np.searchsorted(xs, cx, side="right")
-        out[j] = prefix[-1] - prefix[idx]
+    np.add.at(out, (row[right], k[right] - 1), np.where(y2 > y1, 1, -1)[edge[right]])
+    rev = out[:, ::-1]
+    np.cumsum(rev, axis=1, out=rev)
     return out
 
 
 def _proximity_mask(pts: np.ndarray, grid: GridSpec, eps: float) -> np.ndarray:
-    """Cells whose center lies within eps of some curve sample."""
-    mask = np.zeros((grid.ny, grid.nx), dtype=bool)
-    cx, cy = grid.centers_x(), grid.centers_y()
-    px, py = pts.real, pts.imag
-    vi = np.floor((px - grid.x0) / grid.hx - 0.5).astype(int)
-    vj = np.floor((py - grid.y0) / grid.hy - 0.5).astype(int)
-    ri = int(np.ceil(eps / grid.hx)) + 1
-    rj = int(np.ceil(eps / grid.hy)) + 1
-    for dj in range(-rj, rj + 2):
-        jj = vj + dj
-        okj = (jj >= 0) & (jj < grid.ny)
-        if not np.any(okj):
-            continue
-        for di in range(-ri, ri + 2):
-            ii = vi + di
-            ok = okj & (ii >= 0) & (ii < grid.nx)
-            if not np.any(ok):
-                continue
-            d2 = (cx[ii[ok]] - px[ok]) ** 2 + (cy[jj[ok]] - py[ok]) ** 2
-            hit = d2 <= eps * eps
-            if np.any(hit):
-                mask[jj[ok][hit], ii[ok][hit]] = True
-    return mask
+    """Cells whose center lies within eps of some curve sample.
+
+    Each sample tests a fixed table of (row, column) offsets from the cell
+    center just below and left of it: with kx = ceil(eps / hx), column
+    offsets -kx .. kx + 1 (every center outside lies at least one cell width
+    beyond eps), and likewise for rows.  The squared distances along x and
+    along y are computed once per column and per row offset, and hits are
+    written into a flat array padded by the table's reach, so no offset needs
+    a bounds check; the padding is cropped at the end.
+    """
+    kx = int(np.ceil(eps / grid.hx))
+    ky = int(np.ceil(eps / grid.hy))
+    u = (pts.real - grid.x0) / grid.hx - 0.5
+    v = (pts.imag - grid.y0) / grid.hy - 0.5
+    # samples whose offset window meets the grid
+    near = (u >= -kx - 1) & (u < grid.nx + kx) & (v >= -ky - 1) & (v < grid.ny + ky)
+    px, py = pts.real[near], pts.imag[near]
+    padx, pady = 2 * kx + 1, 2 * ky + 1
+    width = grid.nx + 2 * padx
+    vi = np.floor(u[near]).astype(np.int64) + padx
+    vj = np.floor(v[near]).astype(np.int64) + pady
+    # padded centers; the unpadded ones are bit-identical to centers_x/centers_y
+    cx = grid.x0 + (np.arange(-padx, grid.nx + padx) + 0.5) * grid.hx
+    cy = grid.y0 + (np.arange(-pady, grid.ny + pady) + 0.5) * grid.hy
+    cols = range(-kx, kx + 2)
+    dx2 = [(cx[vi + di] - px) ** 2 for di in cols]
+    base = vj * width + vi
+    flat = np.zeros((grid.ny + 2 * pady) * width, dtype=bool)
+    e2 = eps * eps
+    for dj in range(-ky, ky + 2):
+        dy2 = (cy[vj + dj] - py) ** 2
+        for di, ddx in zip(cols, dx2):
+            flat[base[ddx + dy2 <= e2] + (dj * width + di)] = True
+    return flat.reshape(-1, width)[pady:pady + grid.ny, padx:padx + grid.nx]
 
 
 def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec,
@@ -330,8 +361,8 @@ def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec,
     pts = curve.points
     values = _polygon_windings(pts, grid.centers_x(), grid.centers_y())
     invalid = _proximity_mask(pts, grid, eps)
-    values = np.where(invalid, 0, values)
-    return MultiplicityGrid(grid, values, invalid, eps, r, pts.size, sym.tail_bound)
+    values[invalid] = 0
+    return MultiplicityGrid(grid, values, invalid, eps, r, pts.size, sym.tail_bound, curve)
 
 
 # -- preimage counting oracle ----------------------------------------------------------
@@ -431,12 +462,17 @@ class MeasureDensity:
     @classmethod
     def build(cls, sym: FourierSymbol, r: float, grid: GridSpec,
               eps: float | None = None, refine: bool = True) -> "MeasureDensity":
-        """Rasterize phi_r on grid and, if refine, on its halving with eps / 2."""
+        """Rasterize phi_r on grid and, if refine, on its halving with eps / 2.
+
+        The fine grid refines the coarse grid's curve: its chord target is
+        half the coarse one, and uniform doubling from the coarse level gives
+        the same curve as doubling from the initial sampling.
+        """
         coarse = multiplicity_grid(sym, r, grid, eps)
         fine = None
         if refine:
             fine = multiplicity_grid(sym, r, grid.refined(),
-                                     None if eps is None else eps / 2.0)
+                                     None if eps is None else eps / 2.0, coarse.curve)
         return cls(coarse, fine)
 
     @cached_property

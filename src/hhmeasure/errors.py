@@ -70,6 +70,10 @@ class MaskCoverageError(HHMeasureError):
     """Masked cells cover too much of the quadrature region to trust a report."""
 
 
+class NonFiniteError(HHMeasureError):
+    """A computed value overflowed or became undefined (inf or nan)."""
+
+
 VALIDATION_ERRORS = (
     SchemaError,
     SampleCountError,
@@ -88,4 +92,5 @@ NUMERICAL_ERRORS = (
     DegenerateRoot,
     NoConvergence,
     MaskCoverageError,
+    NonFiniteError,
 )

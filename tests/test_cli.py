@@ -19,6 +19,13 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def strict_json(text: str):
+    """json.loads that rejects NaN and +-Infinity, which strict JSON forbids."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 class TestMeasure:
     def test_density_csv(self, capsys, shift_symbol, tmp_path):
         out = tmp_path / "density.csv"
@@ -52,6 +59,17 @@ class TestMeasure:
         assert doc["grid"]["nx"] == 8
         assert len(doc["cells"]) == 64
         assert "masked_area_fraction" in doc
+
+    def test_chord_cap_exits_3(self, capsys, shift_symbol, monkeypatch):
+        from hhmeasure import degree
+
+        monkeypatch.setattr(degree, "_MAX_CURVE_POINTS", 1024)
+        code, out, err = run_cli(capsys, "measure", "--symbol", shift_symbol,
+                                 "--grid=-1.5,1.5,-1.5,1.5,400,400")
+        assert code == 3 and out == ""
+        diagnostic = strict_json(err)
+        assert diagnostic["error"] == "NonIntegerError"
+        assert "above target" in diagnostic["message"]
 
 
 class TestTraceCheck:
@@ -235,6 +253,17 @@ class TestBesov:
         assert code == 0
         doc = json.loads(out)
         assert doc["almost_normal_sufficient"]["verdict"] == "met"
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coefficient_exits_3(self, capsys, tmp_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"type": "finite_band",
+                                    "coeffs": [{"k": 1, "re": 1e308, "im": 0.0}]}))
+        code, out, err = run_cli(capsys, "besov", "--symbol", str(huge), "--p", "2")
+        assert code == 3 and out == ""
+        diagnostic = strict_json(err)
+        assert diagnostic["code"] == "numerical"
+        assert diagnostic["error"] == "NonFiniteError"
 
     def test_bad_conjugates(self, capsys, shift_symbol):
         code, _, err = run_cli(capsys, "besov", "--symbol", shift_symbol,

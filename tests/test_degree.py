@@ -3,7 +3,9 @@ import pytest
 
 from hhmeasure import FourierSymbol
 from hhmeasure.besov import jacobian_integrability
-from hhmeasure.degree import (GridSpec, SampledCurve, default_grid,
+from hhmeasure import degree
+from hhmeasure.degree import (GridSpec, MeasureDensity, MultiplicityGrid, SampledCurve,
+                              _polygon_windings, _proximity_mask, default_grid,
                               multiplicity_grid, multiplicity_limit_probe,
                               preimage_multiplicity, winding)
 from hhmeasure.errors import (DegenerateRoot, MaskCoverageError, NoConvergence,
@@ -119,6 +121,178 @@ class TestMultiplicityGrid:
         text = mg.to_csv()
         assert text.splitlines()[1] == "x,y,value,valid"
         assert len(text.splitlines()) == 2 + 16
+
+
+def row_sweep_windings(pts, cx, cy):
+    """Reference winding raster: one crossing-count sweep per grid row.
+
+    For each row, the edges crossing its center line (half-open rule) are
+    sorted by crossing abscissa; a center's winding is the signed count of
+    crossings strictly to its right.
+    """
+    x1, y1 = pts.real, pts.imag
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    out = np.zeros((cy.size, cx.size), dtype=np.int64)
+    for j, yc in enumerate(cy):
+        below1 = y1 <= yc
+        cross = below1 != (y2 <= yc)
+        if not np.any(cross):
+            continue
+        sgn = np.where(below1[cross], 1, -1)
+        t = (yc - y1[cross]) / (y2[cross] - y1[cross])
+        xs = x1[cross] + t * (x2[cross] - x1[cross])
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        prefix = np.concatenate(([0], np.cumsum(sgn[order])))
+        idx = np.searchsorted(xs, cx, side="right")
+        out[j] = prefix[-1] - prefix[idx]
+    return out
+
+
+def brute_force_mask(pts, grid, eps):
+    """Cells whose center is within eps of a sample, by all-pairs distances."""
+    gx, gy = grid.mesh()
+    d2 = (gx[..., None] - pts.real) ** 2 + (gy[..., None] - pts.imag) ** 2
+    return np.any(d2 <= eps * eps, axis=-1)
+
+
+def random_polygon(rng, n, spread=1.0):
+    return spread * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+class TestRasterKernels:
+    """The edge-driven sweep and the offset-table mask give the exact integers."""
+
+    GRID = GridSpec(-1.5, 1.5, -1.25, 1.25, 23, 19)
+
+    def check_windings(self, pts, grid=GRID):
+        cx, cy = grid.centers_x(), grid.centers_y()
+        got = _polygon_windings(pts, cx, cy)
+        assert got.shape == (grid.ny, grid.nx)
+        assert np.array_equal(got, row_sweep_windings(pts, cx, cy))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_polygons(self, seed):
+        rng = np.random.default_rng(seed)
+        self.check_windings(random_polygon(rng, int(rng.integers(3, 60))))
+
+    def test_vertices_on_row_centers(self):
+        rng = np.random.default_rng(11)
+        cy = self.GRID.centers_y()
+        pts = rng.uniform(-1.4, 1.4, 40) + 1j * rng.choice(cy, 40)
+        self.check_windings(pts)
+
+    def test_horizontal_edges(self):
+        cy = self.GRID.centers_y()
+        # a staircase whose horizontal runs lie on row centers and between them
+        ys = np.repeat([cy[2], cy[5], 0.3, cy[12], cy[16], -0.9], 2)
+        xs = np.array([-1.2, 1.1, 0.9, -0.7, -0.5, 1.3, 1.0, -1.0, -0.8, 0.4, 0.2, -1.3])
+        self.check_windings(xs + 1j * ys)
+
+    def test_crossings_on_cell_center_abscissa(self):
+        cx, cy = self.GRID.centers_x(), self.GRID.centers_y()
+        # vertical edges and a diamond through grid centers cross rows exactly at cx
+        square = np.array([cx[3] + 1j * cy[1], cx[17] + 1j * cy[1],
+                           cx[17] + 1j * cy[15], cx[3] + 1j * cy[15]])
+        self.check_windings(square)
+        diamond = np.array([cx[10] + 1j * cy[2], cx[18] + 1j * cy[10],
+                            cx[10] + 1j * cy[18], cx[2] + 1j * cy[10]])
+        self.check_windings(diamond)
+        self.check_windings(diamond[::-1])
+
+    def test_vertices_outside_box(self):
+        rng = np.random.default_rng(5)
+        self.check_windings(random_polygon(rng, 50, spread=3.0))
+        # a polygon entirely left of, and one entirely above, the box
+        self.check_windings(random_polygon(rng, 20, 0.2) - 4.0)
+        self.check_windings(random_polygon(rng, 20, 0.2) + 4.0j)
+
+    def test_sampled_curve_on_fine_grid(self, rng):
+        sym = random_symbol(rng, 4)
+        grid = default_grid(sym, 90)
+        pts = SampledCurve.from_symbol(sym, 0.95).refine_to_chord(grid.hx / 4).points
+        self.check_windings(pts, grid)
+
+    @pytest.mark.parametrize("eps_cells", [0.37, 1.0, 2.3, 4.71])
+    def test_mask_matches_all_pairs(self, eps_cells):
+        rng = np.random.default_rng(int(eps_cells * 100))
+        grid = self.GRID
+        pts = random_polygon(rng, 300, spread=1.2)  # some samples fall outside the box
+        eps = eps_cells * grid.hx
+        assert np.array_equal(_proximity_mask(pts, grid, eps), brute_force_mask(pts, grid, eps))
+
+    def test_mask_samples_far_outside(self):
+        grid = self.GRID
+        eps = 1.7 * grid.hy
+        # far samples, samples just beyond each edge of the box, and one inside
+        pts = np.array([1e6 + 1j, -1e6, 1e6j, -3.0 - 3.0j, 1.52 + 0.1j, -1.53 - 0.2j,
+                        0.4 + 1.27j, -0.2 - 1.26j, 0.01 + 0.02j])
+        assert np.array_equal(_proximity_mask(pts, grid, eps), brute_force_mask(pts, grid, eps))
+
+
+class TestChordCap:
+    def test_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(degree, "_MAX_CURVE_POINTS", 2048)
+        curve = SampledCurve.from_symbol(SHIFT, 1.0)
+        assert curve.refine_to_chord(2 * np.pi / 1500).points.size == 2048
+        with pytest.raises(NonIntegerError, match="above target"):
+            curve.refine_to_chord(1e-3)
+
+    def test_grid_past_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(degree, "_MAX_CURVE_POINTS", 1024)
+        with pytest.raises(NonIntegerError):
+            multiplicity_grid(SHIFT, 1.0, GridSpec(-2, 2, -2, 2, 400, 400))
+
+    def test_unrefinable_curve_raises(self):
+        ang = np.arange(8) * 2 * np.pi / 8
+        curve = SampledCurve(ang, np.exp(1j * ang))
+        assert curve.refine_to_chord(1.0) is curve
+        with pytest.raises(NonIntegerError, match="not refinable"):
+            curve.refine_to_chord(0.1)
+
+
+class TestMaskedCellsStoreZero:
+    def test_grid_stores_zero_on_masked_cells(self):
+        mg = multiplicity_grid(SHIFT, 1.0, GridSpec(-1.5, 1.5, -1.5, 1.5, 40, 40))
+        assert mg.invalid.any()
+        assert not mg.values[mg.invalid].any()
+        assert mg.masked_values() is mg.values
+
+    def test_nonzero_masked_cell_rejected(self):
+        grid = GridSpec(0, 1, 0, 1, 2, 2)
+        invalid = np.array([[True, False], [False, False]])
+        with pytest.raises(RangeError, match="invalid cells"):
+            MultiplicityGrid(grid, np.ones((2, 2)), invalid, 0.1, 1.0, 8)
+        MultiplicityGrid(grid, np.array([[0, 1], [1, 1]]), invalid, 0.1, 1.0, 8)
+
+
+class TestCoarseCurveReuse:
+    def test_fine_grid_equals_fresh_raster(self, rng, monkeypatch):
+        sym = random_symbol(rng, 3)
+        grid = default_grid(sym, 70)
+        calls = []
+        from_symbol = SampledCurve.from_symbol
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return from_symbol(*args, **kwargs)
+
+        monkeypatch.setattr(SampledCurve, "from_symbol", counted)
+        pair = MeasureDensity.build(sym, 0.9, grid)
+        assert len(calls) == 1
+        fresh = multiplicity_grid(sym, 0.9, grid.refined())
+        assert pair.fine.curve_points == fresh.curve_points
+        assert np.array_equal(pair.fine.values, fresh.values)
+        assert np.array_equal(pair.fine.invalid, fresh.invalid)
+
+    def test_explicit_eps(self, rng):
+        sym = random_symbol(rng, 2)
+        grid = default_grid(sym, 50)
+        pair = MeasureDensity.build(sym, 1.0, grid, eps=0.05)
+        fresh = multiplicity_grid(sym, 1.0, grid.refined(), 0.025)
+        assert pair.fine.curve_points == fresh.curve_points
+        assert np.array_equal(pair.fine.values, fresh.values)
+        assert np.array_equal(pair.fine.invalid, fresh.invalid)
 
 
 class TestPreimageMultiplicity:

@@ -1,4 +1,4 @@
-"""Byte-level pins of every CLI subcommand on fixed symbols.
+"""Byte-level pins of every CLI subcommand on fixed symbols, and of rasters.
 
 Each case runs ``hhmeasure.cli.main`` in process on a small grid and compares
 the sha256 of the output file with a digest recorded before the coarse/fine
@@ -6,14 +6,23 @@ pair refactor; the ``zz`` and ``conj`` cases were recorded before ``measure``
 streamed its rows from format tables.  A digest changes only when an output
 byte changes; a deliberate change of output must update the digest and say so
 in CHANGES.md.
+
+The raster pins hash the integer values and the mask of both grids of
+``hh_density`` directly, so they see every cell, masked or not; they were
+recorded before the winding sweep and the proximity mask became edge- and
+offset-driven.
 """
 
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from hhmeasure import FourierSymbol
 from hhmeasure.cli import main
+from hhmeasure.degree import default_grid
+from hhmeasure.measure import hh_density
 
 SYMBOLS = {
     "shift": {1: 1.0},
@@ -131,3 +140,37 @@ def test_every_subcommand_pinned():
     from hhmeasure.cli import _SUBCOMMANDS
     assert {sub for sub, *_ in CASES.values()} == set(_SUBCOMMANDS)
     assert set(DIGESTS) == set(CASES)
+
+
+def phase_symbol(seed: int, band: int) -> FourierSymbol:
+    """Band-limited symbol with moduli 0.5 (k > 0) and 0.25 (k < 0), random phases."""
+    rng = np.random.default_rng(seed)
+    return FourierSymbol({k: (0.5 if k > 0 else 0.25) * np.exp(2j * np.pi * rng.uniform())
+                          for k in range(-band, band + 1) if k})
+
+
+# name -> (symbol, radius); each rasterized by hh_density on its default 200^2 box
+RASTERS = {
+    "band2": (FourierSymbol(SYMBOLS["band2"]), 1.0),
+    "phase16-r0.9": (phase_symbol(16, 16), 0.9),
+    "conj": (FourierSymbol(SYMBOLS["conj"]), 1.0),
+}
+
+# sha256 of values.tobytes() + invalid.tobytes() of the (coarse, fine) grids
+RASTER_DIGESTS = {
+    "band2": ("a1686d571fbd5aa5bf8c50a714e9bb9d485239d0f300699b2d8a6e16de9a182e",
+              "7d1c80e490dcacb0ea4cb9cf566e249f27340479339ef9483d4ec93d68173480"),
+    "phase16-r0.9": ("041d7c5f1eed98c1fec0dd113e2789c2738f8c9e194fde6b54b40ad1088f9cce",
+                     "dcfb00fa3f561d33c7fac7965a2067a9e783db518797ff53a034cd5bc1db472b"),
+    "conj": ("88c424c9e50583707257f11d117fcf07a0614153d7a007c77fe9a5590b41108b",
+             "4739d8d3e076ee7c1e5c8b28efd6155e22f3ef47b3d37475bd497a28381b2c21"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RASTERS))
+def test_raster_digest(name):
+    sym, r = RASTERS[name]
+    density = hh_density(sym, r, default_grid(sym, 200))
+    digests = tuple(hashlib.sha256(mg.values.tobytes() + mg.invalid.tobytes()).hexdigest()
+                    for mg in (density.grid, density.fine))
+    assert digests == RASTER_DIGESTS[name]

@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import ConjugateError, NonFiniteError, RangeError, TailError
 from .operators import hankel_matrix, schatten_norm
-from .symbols import FourierSymbol
+from .symbols import FourierSymbol, _jacobian
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _N_PANELS = 24
@@ -131,9 +131,8 @@ def analytic_besov_seminorm(f: FourierSymbol, p: float, radii=None) -> BesovRepo
         radii = default_radii()
     radii = _validate_radii(radii, p, f.is_finite_band)
 
-    coeffs = f._analytic_coeffs()
-    d1 = npoly.polyder(coeffs) if coeffs.size > 1 else np.zeros(1, dtype=complex)
-    d2 = npoly.polyder(coeffs, 2) if coeffs.size > 2 else np.zeros(1, dtype=complex)
+    _, d1, _, _ = f._split
+    d2 = npoly.polyder(d1)
 
     if p == 1:
         def integrand(r, thetas):
@@ -223,19 +222,10 @@ def jacobian_integrability(sym: FourierSymbol, radii=None) -> JacobianIntegrabil
     if radii is None:
         radii = default_radii()
     radii = _validate_radii(radii, 2.0, sym.is_finite_band)
-    f, g = sym.analytic_split()
-    fd = npoly.polyder(f._analytic_coeffs()) if f.coeffs else np.zeros(1, dtype=complex)
-    gd_src = g._analytic_coeffs()
-    gd = npoly.polyder(gd_src) if gd_src.size > 1 else np.zeros(1, dtype=complex)
-
-    def integrand(r, thetas):
-        z = r * np.exp(1j * thetas)
-        return np.abs(np.abs(npoly.polyval(z, fd)) ** 2
-                      - np.abs(npoly.polyval(z, gd)) ** 2)
-
-    partials = _disk_integral_partials(integrand, radii, sym.band)
-    f_energy = math.pi * sum(k * abs(c) ** 2 for k, c in f.coeffs.items() if k >= 1)
-    g_energy = math.pi * sum(k * abs(c) ** 2 for k, c in g.coeffs.items() if k >= 1)
+    partials = _disk_integral_partials(
+        lambda r, thetas: np.abs(_jacobian(sym, r * np.exp(1j * thetas))), radii, sym.band)
+    f_energy = math.pi * sum(k * abs(c) ** 2 for k, c in sym.coeffs.items() if k >= 1)
+    g_energy = math.pi * sum(-k * abs(c) ** 2 for k, c in sym.coeffs.items() if k <= -1)
     if f_energy > 0 and g_energy > 0:
         bound = 2.0 * math.sqrt(f_energy) * math.sqrt(g_energy)
         ok = all(v <= bound + 1e-8 for v in partials)

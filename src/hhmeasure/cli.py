@@ -172,7 +172,7 @@ def _cell_codes(density: MeasureDensity) -> tuple:
     would merge 0.0 and -0.0.
     """
     mg = density.grid
-    key = (mg.masked_values() * 2 + ~mg.invalid).ravel()
+    key = (mg.values * 2 + ~mg.invalid).ravel()
     _, first, codes = np.unique(key, return_index=True, return_inverse=True)
     values = density.values.ravel()[first]
     table = [(_fmt(v.real), _fmt(v.imag), bool(k & 1))

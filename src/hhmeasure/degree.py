@@ -34,6 +34,7 @@ from .symbols import FourierSymbol, _eval_extension, _jacobian, _wirtinger
 
 _MAX_REFINE_PASSES = 48
 _MAX_CURVE_POINTS = 1 << 18
+_ABS_SUM_CELLS = 1 << 16  # cells per block of `_abs_sum`
 
 
 @dataclass(frozen=True)
@@ -252,25 +253,6 @@ class MultiplicityGrid:
             return None
         return int(self.values[loc])
 
-    def masked_values(self) -> np.ndarray:
-        """Values with invalid cells zeroed, for quadrature: ``values`` itself."""
-        return self.values
-
-    def to_csv(self) -> str:
-        g = self.grid
-        lines = [
-            f"# box=({g.x0:.17g},{g.x1:.17g},{g.y0:.17g},{g.y1:.17g}) nx={g.nx} ny={g.ny}"
-            f" r={self.r_used:.17g} eps={self.eps:.17g} tail_bound={self.tail_bound:.17g}",
-            "x,y,value,valid",
-        ]
-        cx, cy = g.centers_x(), g.centers_y()
-        for j in range(g.ny):
-            for i in range(g.nx):
-                bad = self.invalid[j, i]
-                val = "" if bad else str(int(self.values[j, i]))
-                lines.append(f"{cx[i]:.17g},{cy[j]:.17g},{val},{0 if bad else 1}")
-        return "\n".join(lines) + "\n"
-
 
 def _polygon_windings(pts: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """Exact winding numbers of a closed polygon around every grid center.
@@ -477,7 +459,7 @@ class MeasureDensity:
 
     @cached_property
     def values(self) -> np.ndarray:
-        return self.grid.masked_values() / (2j * np.pi)
+        return self.grid.values / (2j * np.pi)
 
     @property
     def masked_area_fraction(self) -> float:
@@ -507,14 +489,25 @@ class MeasureDensity:
                 wvals = coarse_weight
             else:
                 wvals = weight(*mg.grid.mesh())
-            tot = float(np.sum(wvals * mg.masked_values()))
+            tot = float(np.sum(wvals * mg.values))
             return complex(tot * mg.grid.cell_area / (2j * np.pi))
         return self._richardson(midpoint)
 
     def tv(self) -> tuple:
         """(extrapolated, coarse, fine) of the total variation int |m| / 2 pi."""
-        return self._richardson(lambda mg: float(np.sum(np.abs(mg.masked_values())))
+        return self._richardson(lambda mg: _abs_sum(mg.values)
                                 * mg.grid.cell_area / (2 * np.pi))
+
+
+def _abs_sum(values: np.ndarray) -> float:
+    """float(sum |values|) of an integer grid, taken over blocks of rows.
+
+    Every block sum is an exact integer, so this equals the sum over the
+    whole array without allocating a copy of it.
+    """
+    rows = max(1, _ABS_SUM_CELLS // values.shape[1])
+    return float(sum(int(np.abs(values[i:i + rows]).sum())
+                     for i in range(0, values.shape[0], rows)))
 
 
 @dataclass(frozen=True)

@@ -120,10 +120,10 @@ def _check_mask_budget(density: MeasureDensity, wvals: np.ndarray,
         raise MaskCoverageError(
             f"{100 * mg.masked_area_fraction:.1f}% of the box is masked")
     wvals = np.abs(wvals)
-    m_bound = float(np.max(np.abs(mg.masked_values()), initial=0.0))
+    m_bound = float(np.max(np.abs(mg.values), initial=0.0))
     cell = mg.grid.cell_area / (2 * np.pi)
     masked_est = float(np.sum(wvals[mg.invalid])) * m_bound * cell
-    total_est = float(np.sum(wvals * np.abs(mg.masked_values()))) * cell
+    total_est = float(np.sum(wvals * np.abs(mg.values))) * cell
     if masked_est > 2.0 * max(total_est, abs(rhs)) and masked_est > 0:
         raise MaskCoverageError(
             f"masked contribution estimate {masked_est:g} dominates the integral")

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError, StabilizationError, TailError
+from .errors import NonFiniteError, RangeError, StabilizationError, TailError
 from .poly import BivariatePolynomial
 from .symbols import FourierSymbol
 
 _HERM_TOL = 1e-12
+_MAX_BLOCK = 2048  # largest side of a dense commutator block; one block is 64 MiB
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class NCWord:
 
 @dataclass(frozen=True)
 class TruncatedMatrix:
-    """N x N complex block with provenance and an exactness marker.
+    """N x N complex block with an exactness marker.
 
     ``exact_block = B`` means the top-left B x B block coincides with the
     corresponding block of the infinite operator.
@@ -48,7 +49,6 @@ class TruncatedMatrix:
 
     dim: int
     entries: np.ndarray
-    provenance: str = ""
     exact_block: int | None = None
     selfadjoint: bool = False
 
@@ -67,13 +67,6 @@ class TruncatedMatrix:
     def trace(self) -> complex:
         return complex(np.trace(self.entries))
 
-    def to_csv(self) -> str:
-        """Row-major dump of re,im pairs with a dim/provenance header."""
-        lines = [f"# dim={self.dim} provenance={self.provenance}"]
-        for row in self.entries:
-            lines.append(",".join(f"{v.real:.17g},{v.imag:.17g}" for v in row))
-        return "\n".join(lines) + "\n"
-
 
 # -- matrix constructions -----------------------------------------------------
 
@@ -86,8 +79,7 @@ def toeplitz_matrix(sym: FourierSymbol, n: int) -> TruncatedMatrix:
     ent = np.zeros((n, n), dtype=complex)
     for k, c in sym.coeffs.items():
         ent[diff == k] = c
-    return TruncatedMatrix(n, ent, f"T[{sym.describe()}]", exact_block=n,
-                           selfadjoint=sym.real_valued)
+    return TruncatedMatrix(n, ent, exact_block=n, selfadjoint=sym.real_valued)
 
 
 def hankel_matrix(sym: FourierSymbol, n: int) -> TruncatedMatrix:
@@ -104,7 +96,7 @@ def hankel_matrix(sym: FourierSymbol, n: int) -> TruncatedMatrix:
     for k, c in sym.coeffs.items():
         if k < 0:
             ent[total == (-k - 1)] = c
-    return TruncatedMatrix(n, ent, f"H[{sym.describe()}]", exact_block=n)
+    return TruncatedMatrix(n, ent, exact_block=n)
 
 
 def self_commutator(sym: FourierSymbol, n: int) -> TruncatedMatrix:
@@ -115,17 +107,17 @@ def self_commutator(sym: FourierSymbol, n: int) -> TruncatedMatrix:
     """
     if n < 1:
         raise RangeError("dimension must be >= 1")
-    f, g = sym.analytic_split()
+    fa, _, ga, _ = sym._split
     band = sym.band
+    rows = min(n, band)
+    idx = np.arange(rows)[:, None] + np.arange(1, band + 1)  # m + l
     af = np.zeros((n, max(band, 1)), dtype=complex)
     ag = np.zeros((n, max(band, 1)), dtype=complex)
-    for m in range(min(n, band)):
-        for li in range(1, band + 1):
-            af[m, li - 1] = f.coeff(m + li)
-            ag[m, li - 1] = g.coeff(m + li)
+    pad = np.zeros(2 * band, dtype=complex)
+    af[:rows, :band] = np.concatenate((fa, pad))[idx]
+    ag[:rows, :band] = np.concatenate((ga, pad))[idx]
     ent = af @ af.conj().T - ag @ ag.conj().T
-    return TruncatedMatrix(n, ent, f"[T*,T][{sym.describe()}]", exact_block=n,
-                           selfadjoint=True)
+    return TruncatedMatrix(n, ent, exact_block=n, selfadjoint=True)
 
 
 def word_matrix(sym: FourierSymbol, word, n: int) -> TruncatedMatrix:
@@ -149,8 +141,7 @@ def word_matrix(sym: FourierSymbol, word, n: int) -> TruncatedMatrix:
     prod = np.eye(m, dtype=complex)
     for letter in word:
         prod = prod @ (x if letter == "X" else y)
-    return TruncatedMatrix(n, prod[:n, :n],
-                           f"word[{word.letters}]({sym.describe()})", exact_block=n)
+    return TruncatedMatrix(n, prod[:n, :n], exact_block=n)
 
 
 # -- traces ------------------------------------------------------------------------
@@ -192,8 +183,11 @@ def commutator_trace(sym: FourierSymbol, p: BivariatePolynomial,
     Every word of length L in band-K Toeplitz operators is Toeplitz plus a
     correction supported in an (L*K) x (L*K) corner, so the commutator is
     exactly supported in a ((deg p + deg q + 1) * K)^2 corner and its trace
-    is a finite computation.  A stabilization check at twice the truncation
-    guards the support reasoning (and any caller-supplied override).
+    is a finite computation.  A stabilization check guards the support
+    reasoning (and any caller-supplied override): one exact block of side
+    2n gives both t(2n) and, on its leading n x n corner, t(n).  The padded
+    block side 2n + (deg p + deg q) * K may not exceed _MAX_BLOCK, and a
+    trace that overflows raises NonFiniteError.
     """
     if not sym.is_finite_band:
         raise TailError("commutator traces need an exact finite-band symbol")
@@ -201,8 +195,16 @@ def commutator_trace(sym: FourierSymbol, p: BivariatePolynomial,
     n = n_override if n_override is not None else (p.degree + q.degree + 2) * k
     if n < 1:
         raise RangeError("truncation override must be >= 1")
-    t1 = complex(np.trace(_commutator_block(sym, p, q, n)))
-    t2 = complex(np.trace(_commutator_block(sym, p, q, 2 * n)))
+    side = 2 * n + (p.degree + q.degree) * k
+    if side > _MAX_BLOCK:
+        raise RangeError(
+            f"dense block side {side} exceeds the {_MAX_BLOCK} guard (N = {n}, band {k})")
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows in the check below
+        block = _commutator_block(sym, p, q, 2 * n)
+        t1 = complex(np.trace(block[:n, :n]))
+        t2 = complex(np.trace(block))
+    if not (np.isfinite(t1) and np.isfinite(t2)):
+        raise NonFiniteError(f"commutator trace is not finite: {t1} at N={n}, {t2} at N={2 * n}")
     if abs(t1 - t2) > 1e-10:
         raise StabilizationError(
             f"trace changed from {t1} to {t2} between N={n} and N={2 * n}")
@@ -237,7 +239,7 @@ def power_diag(r: float, n: int) -> TruncatedMatrix:
     if n < 1:
         raise RangeError("dimension must be >= 1")
     return TruncatedMatrix(n, np.diag(r ** np.arange(n, dtype=float)).astype(complex),
-                           f"diag(r^n, r={r:g})", exact_block=n, selfadjoint=True)
+                           exact_block=n, selfadjoint=True)
 
 
 def shift_conjugate(mat: TruncatedMatrix, ell: int) -> TruncatedMatrix:
@@ -255,8 +257,7 @@ def shift_conjugate(mat: TruncatedMatrix, ell: int) -> TruncatedMatrix:
     ent = np.zeros((n, n), dtype=complex)
     ent[s:, s:] = mat.entries
     exact = n if mat.exact_block == mat.dim else None
-    return TruncatedMatrix(n, ent, mat.provenance + f"|shift({ell})", exact,
-                           mat.selfadjoint)
+    return TruncatedMatrix(n, ent, exact, mat.selfadjoint)
 
 
 def smoothing_trace_identity(sym: FourierSymbol, corner, r: float):

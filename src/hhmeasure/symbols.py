@@ -9,7 +9,9 @@ The harmonic extension Phi on the unit disc,
                        + sum_{k>0}  c(-k) r^k e^{-ik theta},
 
 is evaluated through the analytic/coanalytic split phi = f + conj(g), so
-Phi(z) = F(z) + conj(G(z)) with F, G polynomials (power series) in z.
+Phi(z) = F(z) + conj(G(z)) with F, G polynomials (power series) in z.  The
+coefficient arrays of F, G and their derivatives are built once per symbol,
+on first evaluation, and every evaluation, derivative and Jacobian reads them.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -151,10 +154,9 @@ class FourierSymbol:
 
         The constant term lives entirely in f, which makes the split unique.
         """
-        f = {k: c for k, c in self.coeffs.items() if k >= 0}
-        g = {-k: np.conj(c) for k, c in self.coeffs.items() if k < 0}
-        return (FourierSymbol(f, self.tail_bound),
-                FourierSymbol(g, self.tail_bound))
+        fa, _, ga, _ = self._split
+        return (FourierSymbol(dict(enumerate(fa)), self.tail_bound),
+                FourierSymbol(dict(enumerate(ga)), self.tail_bound))
 
     def conjugate(self) -> "FourierSymbol":
         """Symbol of conj(phi): c'(k) = conj(c(-k))."""
@@ -179,23 +181,28 @@ class FourierSymbol:
 
     # -- series arrays ---------------------------------------------------------
 
-    def _analytic_coeffs(self) -> np.ndarray:
-        """Ascending array [f(0), ..., f(K)] of the analytic half."""
-        k_max = max((k for k in self.coeffs if k >= 0), default=0)
-        arr = np.zeros(k_max + 1, dtype=complex)
+    @cached_property
+    def _split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Ascending arrays (F, F', G, G') of the split Phi = F + conj(G).
+
+        F = [c(0), ..., c(K)] holds the analytic half and G = [0, g(1), ...,
+        g(K)] with g(k) = conj(c(-k)) the coanalytic one; this is the only
+        place that assigns a coefficient to a half.  Built on first use and
+        kept, which is sound because ``coeffs`` never changes after
+        construction; the arrays are shared by every caller, so they are
+        read-only.
+        """
+        fa = np.zeros(max((k for k in self.coeffs if k >= 0), default=0) + 1, dtype=complex)
+        ga = np.zeros(max((-k for k in self.coeffs if k < 0), default=0) + 1, dtype=complex)
         for k, c in self.coeffs.items():
             if k >= 0:
-                arr[k] = c
-        return arr
-
-    def _coanalytic_coeffs(self) -> np.ndarray:
-        """Ascending array [0, g(1), ..., g(K)] with g(k) = conj(c(-k))."""
-        k_max = max((-k for k in self.coeffs if k < 0), default=0)
-        arr = np.zeros(k_max + 1, dtype=complex)
-        for k, c in self.coeffs.items():
-            if k < 0:
-                arr[-k] = np.conj(c)
-        return arr
+                fa[k] = c
+            else:
+                ga[-k] = np.conj(c)
+        arrays = (fa, npoly.polyder(fa), ga, npoly.polyder(ga))
+        for a in arrays:
+            a.flags.writeable = False
+        return arrays
 
     # -- evaluation --------------------------------------------------------------
 
@@ -243,8 +250,7 @@ class FourierSymbol:
 
 def _eval_extension(sym: FourierSymbol, z):
     """F(z) + conj(G(z)); valid for any z since both halves are polynomials."""
-    fa = sym._analytic_coeffs()
-    gb = sym._coanalytic_coeffs()
+    fa, _, gb, _ = sym._split
     out = npoly.polyval(z, fa)
     if gb.size > 1:
         out = out + np.conj(npoly.polyval(z, gb))
@@ -253,11 +259,10 @@ def _eval_extension(sym: FourierSymbol, z):
 
 def _wirtinger(sym: FourierSymbol, z):
     """(dPhi/dz, dPhi/dzbar) without domain checks."""
-    fa = sym._analytic_coeffs()
-    gb = sym._coanalytic_coeffs()
-    dz = npoly.polyval(z, npoly.polyder(fa)) if fa.size > 1 else np.zeros_like(np.asarray(z))
+    fa, fd, gb, gd = sym._split
+    dz = npoly.polyval(z, fd) if fa.size > 1 else np.zeros_like(np.asarray(z))
     if gb.size > 1:
-        dzbar = np.conj(npoly.polyval(z, npoly.polyder(gb)))
+        dzbar = np.conj(npoly.polyval(z, gd))
     else:
         dzbar = np.zeros_like(np.asarray(z))
     return dz, dzbar

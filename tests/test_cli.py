@@ -92,6 +92,26 @@ class TestTraceCheck:
         assert code == 3
         assert json.loads(err)["code"] == "tolerance"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_trace_exits_3(self, capsys, tmp_path):
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"type": "finite_band",
+                                    "coeffs": [{"k": 1, "re": 1e200, "im": 0.0}]}))
+        code, out, err = run_cli(capsys, "trace-check", "--symbol", str(huge),
+                                 "--grid=-2e200,2e200,-2e200,2e200,40,40")
+        assert code == 3 and out == ""
+        diagnostic = strict_json(err)
+        assert diagnostic["code"] == "numerical"
+        assert diagnostic["error"] == "NonFiniteError"
+
+    def test_oversized_dense_block_exits_2(self, capsys, shift_symbol):
+        code, out, err = run_cli(capsys, "trace-check", "--symbol", shift_symbol,
+                                 "--n", "100000")
+        assert code == 2 and out == ""
+        diagnostic = strict_json(err)
+        assert diagnostic["code"] == "schema"
+        assert diagnostic["error"] == "RangeError"
+
 
 class TestValidation:
     def test_malformed_symbol_exits_2(self, capsys, tmp_path):

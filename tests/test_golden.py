@@ -11,6 +11,11 @@ The raster pins hash the integer values and the mask of both grids of
 ``hh_density`` directly, so they see every cell, masked or not; they were
 recorded before the winding sweep and the proximity mask became edge- and
 offset-driven.
+
+The split pins hash, over fixed seeded symbols, everything that reads the
+split Phi = F + conj(G): the extension, its Wirtinger derivatives and
+Jacobian, the self-commutator and Hankel entries, Newton preimage counts and
+the Besov reports; they were recorded before the split arrays were cached.
 """
 
 import hashlib
@@ -18,11 +23,16 @@ import json
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 from hhmeasure import FourierSymbol
+from hhmeasure.besov import besov_membership, jacobian_integrability
 from hhmeasure.cli import main
-from hhmeasure.degree import default_grid
+from hhmeasure.degree import default_grid, preimage_multiplicity
+from hhmeasure.errors import HHMeasureError
 from hhmeasure.measure import hh_density
+from hhmeasure.operators import hankel_matrix, self_commutator
+from hhmeasure.symbols import _eval_extension, _jacobian, _wirtinger
 
 SYMBOLS = {
     "shift": {1: 1.0},
@@ -174,3 +184,103 @@ def test_raster_digest(name):
     digests = tuple(hashlib.sha256(mg.values.tobytes() + mg.invalid.tobytes()).hexdigest()
                     for mg in (density.grid, density.fine))
     assert digests == RASTER_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(RASTERS))
+def test_tv_matches_full_array_sum(name):
+    sym, r = RASTERS[name]
+    density = hh_density(sym, r, default_grid(sym, 200))
+
+    def full(mg):
+        return float(np.sum(np.abs(mg.values))) * mg.grid.cell_area / (2 * np.pi)
+
+    coarse, fine = full(density.grid), full(density.fine)
+    assert density.tv() == (2 * fine - coarse, coarse, fine)
+
+
+# -- in-process pins of the split Phi = F + conj(G) and what reads it -----------
+
+def seeded_symbol(seed: int, ks) -> FourierSymbol:
+    """Complex Gaussian coefficients scaled by 1 / (1 + |k|) on the frequencies ks."""
+    rng = np.random.default_rng(seed)
+    return FourierSymbol({k: complex(rng.standard_normal(), rng.standard_normal()) / (1 + abs(k))
+                          for k in ks})
+
+
+SPLIT_SYMBOLS = {
+    "zero": FourierSymbol({}),
+    "band0": FourierSymbol({0: 0.7 - 0.2j}),
+    "analytic": seeded_symbol(1, range(0, 5)),
+    "coanalytic": seeded_symbol(2, range(-4, 0)),
+    "mixed3": seeded_symbol(3, range(-3, 4)),
+    "band2": FourierSymbol(SYMBOLS["band2"]),
+    "phase5": phase_symbol(5, 5),
+}
+
+SPLIT_POINTS = 0.97 * np.sqrt(np.random.default_rng(7).uniform(size=48)) * np.exp(
+    2j * np.pi * np.random.default_rng(8).uniform(size=48))
+PREIMAGE_POINTS = (0.0, 0.3 + 0.1j, -0.5 + 0.4j, 1.1 - 0.2j)
+
+
+def split_outputs(quantity: str, sym: FourierSymbol):
+    """Bytes (arrays) or exact reprs (reports, counts) of one quantity of one symbol."""
+    if quantity == "extension":
+        return _eval_extension(sym, SPLIT_POINTS).tobytes()
+    if quantity == "wirtinger":
+        return b"".join(a.tobytes() for a in _wirtinger(sym, SPLIT_POINTS))
+    if quantity == "jacobian":
+        return _jacobian(sym, SPLIT_POINTS).tobytes()
+    if quantity == "self_commutator":
+        return b"".join(self_commutator(sym, n).entries.tobytes()
+                        for n in (1, 3, sym.band + 2))
+    if quantity == "hankel":
+        return b"".join(hankel_matrix(sym, n).entries.tobytes() for n in (1, sym.band + 2))
+    if quantity == "preimage":
+        counts = []
+        for w in PREIMAGE_POINTS:
+            try:
+                counts.append(preimage_multiplicity(sym, 0.95, w))
+            except HHMeasureError as exc:
+                counts.append(type(exc).__name__)
+        return repr(counts).encode()
+    if quantity == "besov":
+        return repr([besov_membership(sym, p) for p in (1.0, 2.0, 3.0)]).encode()
+    if quantity == "jacobian_integrability":
+        return repr(jacobian_integrability(sym)).encode()
+    raise KeyError(quantity)
+
+
+# sha256 over SPLIT_SYMBOLS in order; recorded before the split arrays were cached
+SPLIT_DIGESTS = {
+    "extension": "ad5c440a015cdc44c5c3584eac71fc4aa2236a2b0ad0df57a2129b89f1e7ca07",
+    "wirtinger": "9b81720466cd7e61e132fbac6df1e28cbffb317910805a66259c78a810f05dc1",
+    "jacobian": "90cf16c63cb3fcadb045737fbfbbed8f767ed95f5dffa391949335c1f8a1d317",
+    "self_commutator": "9f244a49d93e732ba26367aa27d665a3eb52759b1bf6497c65f8235c6daab548",
+    "hankel": "c8993e056a95bcb2693232867263bd8ebefaa3f522d418f9ed3f2ad28252e1da",
+    "preimage": "3b59b49276d7bfdeffd77be0d69601ca2376b67b1710813b501a3fde8c560df1",
+    "besov": "357f2d7710783e73b53a054101ced2d5870a6f9c73954f062d59db1b9f91bf35",
+    "jacobian_integrability": "7ed51a6a776ec6b13899219d1d6349af81775de748133916a073e99264f272c9",
+}
+
+
+@pytest.mark.parametrize("quantity", sorted(SPLIT_DIGESTS))
+def test_split_digest(quantity):
+    digest = hashlib.sha256()
+    for sym in SPLIT_SYMBOLS.values():
+        digest.update(split_outputs(quantity, sym))
+    assert digest.hexdigest() == SPLIT_DIGESTS[quantity]
+
+
+def test_preimage_builds_split_once(monkeypatch):
+    calls = []
+    polyder = npoly.polyder
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return polyder(*args, **kwargs)
+
+    monkeypatch.setattr(npoly, "polyder", counted)
+    sym = FourierSymbol(SYMBOLS["band2"])
+    assert preimage_multiplicity(sym, 0.95, 0.3 + 0.1j) == 1
+    # one build of the split: F' and G', one polyder call each
+    assert len(calls) <= 2

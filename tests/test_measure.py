@@ -75,7 +75,7 @@ class TestDensityPair:
     def test_values_computed_once(self):
         d = hh_density(SHIFT, 1.0, self.GRID, refine=False)
         assert d.values is d.values
-        assert np.array_equal(d.values, d.grid.masked_values() / (2j * np.pi))
+        assert np.array_equal(d.values, d.grid.values / (2j * np.pi))
 
 
 class TestTraceFormula:
@@ -148,6 +148,13 @@ class TestTotalVariation:
         d = hh_density(sym, 1.0, SHIFT_GRID)
         assert total_variation(d) == pytest.approx(1.0, abs=2e-3)
 
+    @pytest.mark.parametrize("shape", [(1, 5), (7, 3), (301, 7), (3, 50)])
+    def test_blocked_abs_sum_is_exact(self, monkeypatch, shape):
+        # 20 cells per block: several blocks, a ragged last one, and rows wider than a block
+        monkeypatch.setattr(degree, "_ABS_SUM_CELLS", 20)
+        values = np.random.default_rng(5).integers(-3, 4, size=shape)
+        assert degree._abs_sum(values) == float(np.sum(np.abs(values)))
+
 
 class TestBrownBound:
     def test_shift_equality_case(self):
@@ -184,7 +191,7 @@ class TestHyponormalEquality:
         tn = schatten_norm(self_commutator(sym, sym.band + 1), 1)
         assert 2 * tv == pytest.approx(tn, abs=5e-3)
         # i * density >= 0 cellwise: every valid multiplicity is nonnegative
-        assert np.all(d.grid.masked_values() >= 0)
+        assert np.all(d.grid.values >= 0)
 
     def test_trace_equals_weighted_coefficient_sum(self, rng):
         for _ in range(5):

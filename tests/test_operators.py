@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hhmeasure import FourierSymbol, NCWord, TruncatedMatrix
-from hhmeasure.errors import RangeError, StabilizationError, TailError
+from hhmeasure import FourierSymbol, NCWord, TruncatedMatrix, operators
+from hhmeasure.errors import NonFiniteError, RangeError, StabilizationError, TailError
 from hhmeasure.operators import (commutator_trace, hankel_matrix, power_diag,
                                  schatten_norm, self_commutator, shift_conjugate,
                                  smoothing_trace_identity, toeplitz_matrix,
@@ -156,6 +156,41 @@ class TestCommutatorTrace:
         base = commutator_trace(sym, P.x(), P.y())
         assert commutator_trace(sym, P.x(), P.y(), n_override=25) == pytest.approx(base)
 
+    def test_one_dense_block_per_trace(self, monkeypatch):
+        sizes = []
+        block = operators._commutator_block
+
+        def recorded(sym, p, q, n):
+            sizes.append(n)
+            return block(sym, p, q, n)
+
+        monkeypatch.setattr(operators, "_commutator_block", recorded)
+        sym = FourierSymbol({1: 1.0, 2: 0.4, -1: 0.2})
+        assert commutator_trace(sym, P.x(), P.y(), _details=True)[1] == 16
+        assert sizes == [16]
+
+    def test_block_guard_before_allocating(self, monkeypatch):
+        sizes = []
+
+        def zeros(sym, p, q, n):
+            sizes.append(n)
+            return np.zeros((n, n), dtype=complex)
+
+        monkeypatch.setattr(operators, "_commutator_block", zeros)
+        # side 2n + (deg p + deg q) * band: 2 * 1023 + 2 = 2048 passes, 2050 does not
+        assert commutator_trace(SHIFT, P.x(), P.y(), n_override=1023) == 0
+        with pytest.raises(RangeError, match="guard"):
+            commutator_trace(SHIFT, P.x(), P.y(), n_override=1024)
+        band16 = FourierSymbol({k: 0.1 for k in range(1, 17)})
+        with pytest.raises(RangeError, match="guard"):
+            commutator_trace(band16, P.monomial(30, 0), P.monomial(0, 30))  # side 2944
+        assert sizes == [2046]
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_raises_nonfinite(self):
+        with pytest.raises(NonFiniteError):
+            commutator_trace(FourierSymbol({1: 1e200}), P.x(), P.y())
+
     def test_bilinearity_antisymmetry(self, rng):
         sym = random_symbol(rng, 2)
         p = P.x() + P.monomial(0, 2, 0.3)
@@ -291,9 +326,3 @@ class TestTruncatedMatrix:
         with pytest.raises(ValueError):
             TruncatedMatrix(2, np.array([[0, 1], [0, 0]], dtype=complex),
                             selfadjoint=True)
-
-    def test_csv_roundtrip_header(self):
-        mat = toeplitz_matrix(SHIFT, 2)
-        dump = mat.to_csv()
-        assert dump.startswith("# dim=2")
-        assert "1," in dump

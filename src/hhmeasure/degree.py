@@ -12,9 +12,12 @@ Two independent routes to the same integers:
   the sampled polygon, and its cost grows with the crossings and the cells,
   not with rows times edges.  Cells within eps of a curve sample are masked
   by testing a fixed table of cell offsets around every sample.
-* `preimage_multiplicity` counts disk preimages with Jacobian signs by a
-  subdivided Newton iteration and serves as the oracle for the degree
-  identity wind(phi, w) = sum sgn J over preimages.
+* `preimage_multiplicity` counts disk preimages with Jacobian signs and
+  serves as the oracle for the degree identity wind(phi, w) = sum sgn J
+  over preimages.  An exclusion quadtree discards every square on which the
+  coefficient-sum Lipschitz bound of Phi proves that w is not attained; if
+  no square survives, the count is 0 by proof, and otherwise Newton runs
+  only from the centres of the surviving squares.
 
 Grid cells are independent, so per-cell evaluation may run concurrently;
 all outputs are pure functions of their inputs.
@@ -27,6 +30,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .errors import (DegenerateRoot, MaskCoverageError, NoConvergence,
                      NonIntegerError, RangeError, TailError, WindingUndefined)
@@ -294,7 +298,15 @@ def _proximity_mask(pts: np.ndarray, grid: GridSpec, eps: float) -> np.ndarray:
     along y are computed once per column and per row offset, and hits are
     written into a flat array padded by the table's reach, so no offset needs
     a bounds check; the padding is cropped at the end.
+
+    Every squared distance tested is at most 2 * (eps + 2 * cell width)^2.
+    Raises RangeError when twice that overflows, since inf <= inf would mask
+    cells at any distance.
     """
+    reach = eps + 2.0 * max(grid.hx, grid.hy)
+    if not np.isfinite(4.0 * reach * reach):
+        raise RangeError(f"squared distances overflow: eps {eps:g} and cell size"
+                         f" {max(grid.hx, grid.hy):g} are too large for the proximity mask")
     kx = int(np.ceil(eps / grid.hx))
     ky = int(np.ceil(eps / grid.hy))
     u = (pts.real - grid.x0) / grid.hx - 0.5
@@ -352,17 +364,62 @@ def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec,
 _NEWTON_ITERS = 60
 _DEDUP_TOL = 1e-6
 _JTOL = 1e-8
+_SQRT2 = float(np.sqrt(2.0))
+_CHILD_DI = np.array([0, 1, 0, 1])
+_CHILD_DJ = np.array([0, 0, 1, 1])
 
 
-def _newton_roots(sym: FourierSymbol, r: float, w: complex, depth: int) -> list[complex]:
-    """Deduplicated interior solutions of Phi(z) = w from a subdivision grid."""
-    g = 1 << depth
-    step = 2.0 * r / g
-    line = -r + (np.arange(g) + 0.5) * step
-    zz = (line[None, :] + 1j * line[:, None]).ravel()
-    z = zz[np.abs(zz) < r].astype(complex)
-    if z.size == 0:
-        return []
+def _variation_bound(sym: FourierSymbol, c: np.ndarray, h: float, w: complex) -> np.ndarray:
+    """Bound on |Phi(z) - Phi(c)| over the square of centre c and half-width h.
+
+    Every z of the square lies within sqrt2*h of c, and the segment from c
+    to z within rho = |c| + sqrt2*h of the origin, where |F'| + |G'| is at
+    most L(rho) = sum_{k>=1} k (|F_k| + |G_k|) rho^(k-1).  So the variation
+    is at most sqrt2*h*L(rho); a relative 1e-12 of |w| and of the
+    coefficient sum at rho is added for the rounding in Phi(c) - w.
+    """
+    fa, fd, ga, gd = sym._split
+    rho = np.abs(c) + _SQRT2 * h
+    lip = npoly.polyval(rho, np.abs(fd)) + npoly.polyval(rho, np.abs(gd))
+    size = npoly.polyval(rho, np.abs(fa)) + npoly.polyval(rho, np.abs(ga))
+    return _SQRT2 * h * lip + 1e-12 * (1 + abs(w) + size)
+
+
+def _quadtree_starts(sym: FourierSymbol, r: float, w: complex, depth: int):
+    """Centres of the squares at levels depth - 1 and depth that may hold a preimage.
+
+    Level l tiles [-r, r]^2 by 4^l squares of half-width r / 2^l, whose
+    centres are those of the 2^l x 2^l lattice.  Each level splits the
+    squares the previous one kept and drops every child that lies wholly
+    outside the disk or whose value at the centre is further from w than
+    `_variation_bound`: such a square holds no preimage.  Returns None when
+    a level keeps no square, which proves that w has no preimage.
+    """
+    i = j = np.zeros(1, dtype=np.int64)
+    kept = []
+    for level in range(depth + 1):
+        if level:
+            i = (2 * i[:, None] + _CHILD_DI).ravel()
+            j = (2 * j[:, None] + _CHILD_DJ).ravel()
+        step = 2.0 * r / (1 << level)
+        h = step / 2.0
+        c = (-r + (i + 0.5) * step) + 1j * (-r + (j + 0.5) * step)
+        keep = ((np.abs(c) - _SQRT2 * h < r)
+                & (np.abs(_eval_extension(sym, c) - w) <= _variation_bound(sym, c, h, w)))
+        if not keep.any():
+            return None
+        i, j = i[keep], j[keep]
+        kept.append(c[keep])
+    return kept[-2], kept[-1]
+
+
+def _newton_roots(sym: FourierSymbol, r: float, w: complex, z: np.ndarray,
+                  cap: int) -> list[complex]:
+    """Deduplicated interior solutions of Phi(z) = w reached by Newton from z.
+
+    More than cap distinct roots means the preimage set is not discrete,
+    and raises DegenerateRoot.
+    """
     active = np.ones(z.size, dtype=bool)
     for _ in range(_NEWTON_ITERS):
         e = _eval_extension(sym, z) - w
@@ -382,6 +439,9 @@ def _newton_roots(sym: FourierSymbol, r: float, w: complex, depth: int) -> list[
     unique: list[complex] = []
     for root in roots:
         if all(abs(root - u) > _DEDUP_TOL for u in unique):
+            if len(unique) == cap:
+                raise DegenerateRoot(f"preimage set is not discrete: more than {cap}"
+                                     f" distinct solutions of Phi(z) = {w}")
             unique.append(complex(root))
     return unique
 
@@ -396,10 +456,16 @@ def preimage_multiplicity(sym: FourierSymbol, r: float, w: complex,
                           depth: int = 6) -> int:
     """sum of sgn J(Phi) over solutions of Phi(z) = w with |z| < r.
 
-    Newton iterations are launched from progressively finer subdivisions of
-    the disk until two consecutive depths produce the same root set; roots
-    with |J| below 1e-8 are rejected as degenerate.  This is the independent
-    oracle for `multiplicity_grid`.
+    An exclusion quadtree of depth levels below [-r, r]^2 drops every square
+    that provably holds no preimage: the square misses the disk, or
+    |Phi(c) - w| exceeds the variation bound sqrt2*h*L(rho) of Phi over it
+    (see `_variation_bound`).  If some level keeps no square, the count is
+    0 by proof.  Otherwise Newton runs from the centres kept at the last two
+    levels, and the two root sets must agree.  A harmonic polynomial
+    F + conj(G) with n = max(deg F, deg G) has at most n^2 isolated
+    solutions (Bezout; Wilmshurst 1998), so a larger root set raises
+    DegenerateRoot, as does a root with |J| below 1e-8.  This is the
+    independent oracle for `multiplicity_grid`.
     """
     if not 0.0 < r <= 1.0:
         raise RangeError(f"radius must lie in (0,1], got {r}")
@@ -407,15 +473,15 @@ def preimage_multiplicity(sym: FourierSymbol, r: float, w: complex,
         raise TailError("preimage counting needs an exact finite-band symbol")
     if depth < 3:
         raise RangeError("subdivision depth must be >= 3")
-    prev = None
-    roots = []
-    for d in range(max(3, depth - 2), depth + 1):
-        roots = _newton_roots(sym, r, w, d)
-        if prev is not None and _match_roots(prev, roots):
-            break
-        prev = roots
-    else:
-        raise NoConvergence(f"root set at w = {w} did not stabilize by depth {depth}")
+    starts = _quadtree_starts(sym, r, w, depth)
+    if starts is None:
+        return 0
+    fa, _, ga, _ = sym._split
+    cap = (max(fa.size, ga.size) - 1) ** 2
+    coarse, roots = (_newton_roots(sym, r, w, z, cap) for z in starts)
+    if not _match_roots(coarse, roots):
+        raise NoConvergence(f"root sets at w = {w} differ between quadtree levels"
+                            f" {depth - 1} and {depth}")
     total = 0
     for root in roots:
         jac = float(_jacobian(sym, root))

@@ -59,11 +59,11 @@ class NonIntegerError(HHMeasureError):
 
 
 class DegenerateRoot(HHMeasureError):
-    """Root iteration converged to a point with near-zero Jacobian."""
+    """A root has near-zero Jacobian, or the preimage set is not discrete."""
 
 
 class NoConvergence(HHMeasureError):
-    """Root subdivision was exhausted without a stable preimage set."""
+    """Newton from the last two quadtree levels found different preimage sets."""
 
 
 class MaskCoverageError(HHMeasureError):

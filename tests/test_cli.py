@@ -166,6 +166,19 @@ class TestValidation:
         diagnostic = json.loads(err)
         assert diagnostic["code"] == "schema" and "finite" in diagnostic["message"]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("argv", [["measure"], ["index-check", "--count", "3"]])
+    def test_overflowing_mask_distances_exit_2(self, capsys, tmp_path, argv):
+        # 1e199-sized cells: squared cell-to-curve distances overflow in the mask
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"type": "finite_band",
+                                    "coeffs": [{"k": 1, "re": 1e200, "im": 0.0}]}))
+        code, out, err = run_cli(capsys, *argv, "--symbol", str(huge),
+                                 "--grid=-2e200,2e200,-2e200,2e200,40,40")
+        assert code == 2 and out == ""
+        diagnostic = strict_json(err)
+        assert diagnostic["error"] == "RangeError" and "overflow" in diagnostic["message"]
+
     @pytest.mark.parametrize("argv", [
         ["gallery", "--symbol", "SYM"],
         ["measure", "--symbol", "SYM", "--n", "4"],

@@ -12,6 +12,7 @@ from hhmeasure.errors import (DegenerateRoot, MaskCoverageError, NoConvergence,
                               NonIntegerError, RangeError, TailError,
                               WindingUndefined)
 from hhmeasure.poly import BivariatePolynomial as P
+from hhmeasure.symbols import _eval_extension
 
 from conftest import random_symbol
 
@@ -222,6 +223,14 @@ class TestRasterKernels:
                         0.4 + 1.27j, -0.2 - 1.26j, 0.01 + 0.02j])
         assert np.array_equal(_proximity_mask(pts, grid, eps), brute_force_mask(pts, grid, eps))
 
+    @pytest.mark.filterwarnings("error")
+    def test_mask_rejects_overflowing_distances(self):
+        # squared distances of 1e199-sized cells overflow, and inf <= inf would mask them all
+        grid = GridSpec(-2e200, 2e200, -2e200, 2e200, 40, 40)
+        pts = 1e200 * np.exp(2j * np.pi * np.arange(64) / 64)
+        with pytest.raises(RangeError, match="overflow"):
+            _proximity_mask(pts, grid, 2.0 * grid.cell_diag)
+
 
 class TestChordCap:
     def test_cap_raises(self, monkeypatch):
@@ -311,6 +320,53 @@ class TestPreimageMultiplicity:
         with pytest.raises((DegenerateRoot, NoConvergence)):
             preimage_multiplicity(FourierSymbol({2: 1.0}), 1.0, 0.0)
 
+    @pytest.mark.parametrize("sym, w", [(FourierSymbol({}), 0.0),
+                                        (FourierSymbol({0: 0.7 - 0.2j}), 0.7 - 0.2j)])
+    def test_constant_symbol_not_discrete(self, sym, w):
+        # every point of the disk is a preimage; the n^2 = 0 root cap says so
+        with pytest.raises(DegenerateRoot, match="not discrete"):
+            preimage_multiplicity(sym, 0.95, w)
+
+    @pytest.mark.parametrize("r, w", [(1.0, 3.0), (0.5, 0.8)])
+    def test_zero_count_by_exclusion(self, monkeypatch, r, w):
+        def no_newton(*args):
+            raise AssertionError("Newton ran although no square can hold a preimage")
+
+        monkeypatch.setattr(degree, "_wirtinger", no_newton)
+        assert preimage_multiplicity(SHIFT, r, w) == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_variation_bound(self, seed):
+        """|Phi(z) - Phi(c)| stays within the exclusion bound on square and disk."""
+        rng = np.random.default_rng(seed)
+        sym = random_symbol(rng, int(rng.integers(1, 6)))
+        r = float(rng.choice([0.3, 0.7, 0.95, 1.0]))
+        corners = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j])
+        for _ in range(50):
+            h = r * 2.0 ** -float(rng.integers(0, 7))
+            # centres inside the disk and up to a half-width beyond it
+            c = complex(*rng.uniform(-r - h, r + h, 2))
+            z = c + h * np.concatenate([corners, rng.uniform(-1, 1, 300)
+                                        + 1j * rng.uniform(-1, 1, 300)])
+            z = z[np.abs(z) < r]
+            bound = degree._variation_bound(sym, np.array([c]), h, 0.0)[0]
+            assert np.all(np.abs(_eval_extension(sym, z) - _eval_extension(sym, c)) <= bound)
+
+    @pytest.mark.parametrize("t", [0.9, 1.025])
+    def test_variation_bound_along_a_radius(self, t):
+        """z^200 attains L along the ray of the square's diagonal, so rho needs |c| + sqrt2*h.
+
+        The second centre lies outside the unit disk, where capping rho at r
+        would under-bound the variation.
+        """
+        sym, h = FourierSymbol({200: 1.0}), 0.05
+        ray = np.exp(0.25j * np.pi)
+        c = t * ray
+        z = (t + h * np.linspace(-1.4, 1.4, 57)) * ray
+        z = z[np.abs(z) < 1.0]
+        bound = degree._variation_bound(sym, np.array([c]), h, 0.0)[0]
+        assert np.all(np.abs(_eval_extension(sym, z) - _eval_extension(sym, c)) <= bound)
+
 
 class TestDegreeIdentity:
     @pytest.mark.parametrize("idx", range(6))
@@ -328,11 +384,42 @@ class TestDegreeIdentity:
                 w = complex(cx[i], cy[j])
                 try:
                     oracle = preimage_multiplicity(sym, r, w)
-                except Exception:
+                except (NoConvergence, DegenerateRoot):
                     continue
                 assert oracle == mg.values[j, i], f"cell {w} of {sym.describe()}"
                 compared += 1
         assert compared >= 30
+
+    def test_nonzero_cells(self):
+        """Raster, winding and Newton agree where m != 0.
+
+        Criterion 06's symbols and radii at 60^2, where the default eps leaves
+        cells with m = +-1 unmasked; up to 40 nonzero and 10 zero valid cells
+        of each symbol, spread over the raster.
+        """
+        def spread(cells, k):
+            return cells[::max(1, -(-len(cells) // k))]
+
+        rng = np.random.default_rng(31)
+        nonzero = 0
+        for r in (1.0, 0.9, 0.8, 1.0, 0.95, 0.85, 1.0, 0.9, 0.75, 1.0):
+            sym = random_symbol(rng, int(rng.integers(1, 4)))
+            grid = default_grid(sym, 60)
+            mg = multiplicity_grid(sym, r, grid)
+            cx, cy = grid.centers_x(), grid.centers_y()
+            valid = ~mg.invalid
+            cells = np.concatenate([spread(np.argwhere(valid & (mg.values != 0)), 40),
+                                    spread(np.argwhere(valid & (mg.values == 0)), 10)])
+            for j, i in cells:
+                w, m = complex(cx[i], cy[j]), int(mg.values[j, i])
+                assert winding(mg.curve, w, mg.eps / 4) == m, f"winding at {w}, r = {r}"
+                try:
+                    oracle = preimage_multiplicity(sym, r, w)
+                except (NoConvergence, DegenerateRoot):
+                    continue
+                assert oracle == m, f"Newton at {w}, r = {r}"
+                nonzero += m != 0
+        assert nonzero >= 150, f"only {nonzero} nonzero cells compared"
 
 
 class TestImageMonotonicity:

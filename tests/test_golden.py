@@ -16,6 +16,10 @@ The split pins hash, over fixed seeded symbols, everything that reads the
 split Phi = F + conj(G): the extension, its Wirtinger derivatives and
 Jacobian, the self-commutator and Hankel entries, Newton preimage counts and
 the Besov reports; they were recorded before the split arrays were cached.
+The preimage pin was re-recorded when the Newton oracle moved to an
+exclusion quadtree: the zero symbol at w = 0, whose preimage set is the
+whole disk, now raises DegenerateRoot instead of NoConvergence, and every
+other count is unchanged.
 """
 
 import hashlib
@@ -257,7 +261,7 @@ SPLIT_DIGESTS = {
     "jacobian": "90cf16c63cb3fcadb045737fbfbbed8f767ed95f5dffa391949335c1f8a1d317",
     "self_commutator": "9f244a49d93e732ba26367aa27d665a3eb52759b1bf6497c65f8235c6daab548",
     "hankel": "c8993e056a95bcb2693232867263bd8ebefaa3f522d418f9ed3f2ad28252e1da",
-    "preimage": "3b59b49276d7bfdeffd77be0d69601ca2376b67b1710813b501a3fde8c560df1",
+    "preimage": "136e04850e58b025e501ba250039ddaf268668a1f81081ecc8fe906a5a8a0f79",
     "besov": "357f2d7710783e73b53a054101ced2d5870a6f9c73954f062d59db1b9f91bf35",
     "jacobian_integrability": "7ed51a6a776ec6b13899219d1d6349af81775de748133916a073e99264f272c9",
 }

@@ -17,24 +17,23 @@ from .gallery import (WeightedShiftSpec, cesaro_commutator, perturbation_family_
 from .measure import (MeasureDensity, TraceFormulaReport, brown_bound_check,
                       hh_density, index_check, smoothing_limit_probe,
                       total_variation, trace_formula_check)
-from .operators import (NCWord, TruncatedMatrix, commutator_trace, hankel_matrix,
-                        power_diag, schatten_norm, self_commutator,
-                        shift_conjugate, smoothing_trace_identity,
-                        toeplitz_matrix, word_matrix)
+from .operators import (TruncatedMatrix, commutator_trace, hankel_matrix, power_diag,
+                        schatten_norm, self_commutator, shift_conjugate,
+                        smoothing_trace_identity, toeplitz_matrix)
 from .poly import BivariatePolynomial, jacobian_bracket, parse_polynomial
-from .symbols import DiskPoint, FourierSymbol, load_symbol_spec
+from .symbols import FourierSymbol, load_symbol_spec
 
 __version__ = "0.1.0"
 
 __all__ = [
     "errors", "__version__",
     # symbols
-    "FourierSymbol", "DiskPoint", "load_symbol_spec",
+    "FourierSymbol", "load_symbol_spec",
     # polynomials
     "BivariatePolynomial", "jacobian_bracket", "parse_polynomial",
     # operators
-    "TruncatedMatrix", "NCWord", "toeplitz_matrix", "hankel_matrix",
-    "self_commutator", "word_matrix", "commutator_trace", "schatten_norm",
+    "TruncatedMatrix", "toeplitz_matrix", "hankel_matrix", "self_commutator",
+    "commutator_trace", "schatten_norm",
     "power_diag", "shift_conjugate", "smoothing_trace_identity",
     # degree
     "GridSpec", "SampledCurve", "MultiplicityGrid", "default_grid", "winding",

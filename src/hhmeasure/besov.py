@@ -121,10 +121,11 @@ def analytic_besov_seminorm(f: FourierSymbol, p: float, radii=None) -> BesovRepo
     """Partial A_p seminorm integrals of an analytic symbol over growing disks.
 
     For p != 1 the integrand is (1 - |z|^2)^{p-2} |F'(z)|^p; for p = 1 it is
-    |F''(z)|.  The verdict classifies the trend of the partials.
+    |F''(z)|.  The verdict classifies the trend of the partials.  p must lie
+    in [1, inf); NaN is rejected too.
     """
-    if p < 1:
-        raise RangeError(f"Besov exponent must be >= 1, got {p}")
+    if not 1.0 <= p < math.inf:
+        raise RangeError(f"Besov exponent must lie in [1, inf), got {p}")
     if any(k < 0 for k in f.coeffs):
         raise RangeError("analytic seminorm needs an analytic symbol (no k < 0)")
     if radii is None:
@@ -172,14 +173,15 @@ def almost_normal_sufficient(sym: FourierSymbol, p: float, q: float,
     """Check the sufficient condition Re(phi) in B_p, Im(phi) in B_q.
 
     p and q must be finite Holder conjugates, or (p, q) = (1, inf) for the
-    (B_1, L^inf) variant where the imaginary part only needs boundedness.
+    (B_1, L^inf) variant where the imaginary part only needs boundedness;
+    a NaN exponent fails the conjugacy test.
     The verdict is "met" when every half-report converges, "not met" when
     any diverges, else "inconclusive" -- a trend classification, never a
     theorem.
     """
     b1_variant = (p == 1.0 and math.isinf(q))
     if not b1_variant:
-        if math.isinf(p) or math.isinf(q) or abs(1.0 / p + 1.0 / q - 1.0) > 1e-12:
+        if math.isinf(p) or math.isinf(q) or not abs(1.0 / p + 1.0 / q - 1.0) <= 1e-12:
             raise ConjugateError(f"1/{p} + 1/{q} != 1")
     real_reports = besov_membership(sym.real_part(), p, radii)
     if b1_variant:

@@ -17,8 +17,7 @@ import numpy as np
 from . import besov as besov_mod
 from . import gallery as gallery_mod
 from .degree import GridSpec, SampledCurve, default_grid, winding
-from .errors import (NUMERICAL_ERRORS, VALIDATION_ERRORS, HHMeasureError,
-                     RangeError, WindingUndefined)
+from .errors import NumericalError, RangeError, ValidationError, WindingUndefined
 from .measure import (MeasureDensity, hh_density, index_check, smoothing_limit_probe,
                       trace_formula_check)
 from .poly import BivariatePolynomial, parse_polynomial
@@ -353,14 +352,11 @@ def run(config: RunConfig) -> int:
         return 2
     try:
         return handler(config)
-    except VALIDATION_ERRORS as exc:
+    except ValidationError as exc:
         _diagnostic("schema", exc)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         _diagnostic("numerical", exc)
-        return 3
-    except HHMeasureError as exc:
-        _diagnostic("error", exc)
         return 3
 
 
@@ -430,10 +426,7 @@ def main(argv=None) -> int:
         config = _config_from_args(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except VALIDATION_ERRORS as exc:
-        _diagnostic("schema", exc)
-        return 2
-    except ValueError as exc:
+    except (ValidationError, ValueError) as exc:
         _diagnostic("schema", exc)
         return 2
     return run(config)

@@ -34,10 +34,10 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import (DegenerateRoot, MaskCoverageError, NoConvergence,
                      NonIntegerError, RangeError, TailError, WindingUndefined)
-from .symbols import FourierSymbol, _eval_extension, _jacobian, _wirtinger
+from .symbols import _MAX_BAND, FourierSymbol, _eval_extension, _jacobian, _wirtinger
 
 _MAX_REFINE_PASSES = 48
-_MAX_CURVE_POINTS = 1 << 18
+_MAX_CURVE_POINTS = 2 * _MAX_BAND
 _ABS_SUM_CELLS = 1 << 16  # cells per block of `_abs_sum`
 
 
@@ -230,9 +230,7 @@ class MultiplicityGrid:
     values: np.ndarray
     invalid: np.ndarray
     eps: float
-    r_used: float
     curve_points: int
-    tail_bound: float = 0.0
     curve: SampledCurve | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -334,29 +332,28 @@ def _proximity_mask(pts: np.ndarray, grid: GridSpec, eps: float) -> np.ndarray:
 
 
 def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec,
-                      eps: float | None = None,
                       curve: SampledCurve | None = None) -> MultiplicityGrid:
     """Signed multiplicity m_{Phi_r} on every valid cell center.
 
     Valid cells carry the winding of the sampled curve of phi_r around the
-    cell center; cells within eps (default: twice the cell diagonal) of the
-    curve are masked invalid rather than aborting the grid.
+    cell center; cells within eps = twice the cell diagonal of the curve are
+    masked invalid rather than aborting the grid.  The curve is refined until
+    every chord is below a quarter of the smaller cell side; ``curve``, if
+    given, is the sampling of phi_r to start the refinement from.
     """
     if not 0.0 < r <= 1.0:
         raise RangeError(f"radius must lie in (0,1], got {r}")
     if r == 1.0 and not sym.is_finite_band:
         raise TailError("m_Phi at r = 1 needs an exact finite-band symbol")
-    if eps is None:
-        eps = 2.0 * grid.cell_diag
+    eps = 2.0 * grid.cell_diag
     if curve is None:
         curve = SampledCurve.from_symbol(sym, r)
-    target = min(grid.hx, grid.hy) / 4.0
-    curve = curve.refine_to_chord(min(target, eps / 2.0))
+    curve = curve.refine_to_chord(min(grid.hx, grid.hy) / 4.0)
     pts = curve.points
     values = _polygon_windings(pts, grid.centers_x(), grid.centers_y())
     invalid = _proximity_mask(pts, grid, eps)
     values[invalid] = 0
-    return MultiplicityGrid(grid, values, invalid, eps, r, pts.size, sym.tail_bound, curve)
+    return MultiplicityGrid(grid, values, invalid, eps, pts.size, curve)
 
 
 # -- preimage counting oracle ----------------------------------------------------------
@@ -364,6 +361,7 @@ def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec,
 _NEWTON_ITERS = 60
 _DEDUP_TOL = 1e-6
 _JTOL = 1e-8
+_DEPTH = 6  # quadtree levels below [-r, r]^2
 _SQRT2 = float(np.sqrt(2.0))
 _CHILD_DI = np.array([0, 1, 0, 1])
 _CHILD_DJ = np.array([0, 0, 1, 1])
@@ -385,8 +383,8 @@ def _variation_bound(sym: FourierSymbol, c: np.ndarray, h: float, w: complex) ->
     return _SQRT2 * h * lip + 1e-12 * (1 + abs(w) + size)
 
 
-def _quadtree_starts(sym: FourierSymbol, r: float, w: complex, depth: int):
-    """Centres of the squares at levels depth - 1 and depth that may hold a preimage.
+def _quadtree_starts(sym: FourierSymbol, r: float, w: complex):
+    """Centres of the squares at levels _DEPTH - 1 and _DEPTH that may hold a preimage.
 
     Level l tiles [-r, r]^2 by 4^l squares of half-width r / 2^l, whose
     centres are those of the 2^l x 2^l lattice.  Each level splits the
@@ -397,7 +395,7 @@ def _quadtree_starts(sym: FourierSymbol, r: float, w: complex, depth: int):
     """
     i = j = np.zeros(1, dtype=np.int64)
     kept = []
-    for level in range(depth + 1):
+    for level in range(_DEPTH + 1):
         if level:
             i = (2 * i[:, None] + _CHILD_DI).ravel()
             j = (2 * j[:, None] + _CHILD_DJ).ravel()
@@ -452,11 +450,10 @@ def _match_roots(a: list[complex], b: list[complex]) -> bool:
     return all(min((abs(x - y) for y in b), default=np.inf) < 10 * _DEDUP_TOL for x in a)
 
 
-def preimage_multiplicity(sym: FourierSymbol, r: float, w: complex,
-                          depth: int = 6) -> int:
+def preimage_multiplicity(sym: FourierSymbol, r: float, w: complex) -> int:
     """sum of sgn J(Phi) over solutions of Phi(z) = w with |z| < r.
 
-    An exclusion quadtree of depth levels below [-r, r]^2 drops every square
+    An exclusion quadtree of _DEPTH levels below [-r, r]^2 drops every square
     that provably holds no preimage: the square misses the disk, or
     |Phi(c) - w| exceeds the variation bound sqrt2*h*L(rho) of Phi over it
     (see `_variation_bound`).  If some level keeps no square, the count is
@@ -471,9 +468,7 @@ def preimage_multiplicity(sym: FourierSymbol, r: float, w: complex,
         raise RangeError(f"radius must lie in (0,1], got {r}")
     if not sym.is_finite_band:
         raise TailError("preimage counting needs an exact finite-band symbol")
-    if depth < 3:
-        raise RangeError("subdivision depth must be >= 3")
-    starts = _quadtree_starts(sym, r, w, depth)
+    starts = _quadtree_starts(sym, r, w)
     if starts is None:
         return 0
     fa, _, ga, _ = sym._split
@@ -481,7 +476,7 @@ def preimage_multiplicity(sym: FourierSymbol, r: float, w: complex,
     coarse, roots = (_newton_roots(sym, r, w, z, cap) for z in starts)
     if not _match_roots(coarse, roots):
         raise NoConvergence(f"root sets at w = {w} differ between quadtree levels"
-                            f" {depth - 1} and {depth}")
+                            f" {_DEPTH - 1} and {_DEPTH}")
     total = 0
     for root in roots:
         jac = float(_jacobian(sym, root))
@@ -509,18 +504,19 @@ class MeasureDensity:
 
     @classmethod
     def build(cls, sym: FourierSymbol, r: float, grid: GridSpec,
-              eps: float | None = None, refine: bool = True) -> "MeasureDensity":
-        """Rasterize phi_r on grid and, if refine, on its halving with eps / 2.
+              refine: bool = True) -> "MeasureDensity":
+        """Rasterize phi_r on grid and, if refine, on its halving.
 
-        The fine grid refines the coarse grid's curve: its chord target is
-        half the coarse one, and uniform doubling from the coarse level gives
-        the same curve as doubling from the initial sampling.
+        Each grid masks within twice its own cell diagonal, so the fine mask
+        is half as wide.  The fine grid refines the coarse grid's curve: its
+        chord target is half the coarse one, and uniform doubling from the
+        coarse level gives the same curve as doubling from the initial
+        sampling.
         """
-        coarse = multiplicity_grid(sym, r, grid, eps)
+        coarse = multiplicity_grid(sym, r, grid)
         fine = None
         if refine:
-            fine = multiplicity_grid(sym, r, grid.refined(),
-                                     None if eps is None else eps / 2.0, coarse.curve)
+            fine = multiplicity_grid(sym, r, grid.refined(), coarse.curve)
         return cls(coarse, fine)
 
     @cached_property
@@ -585,11 +581,10 @@ class MomentProbe:
     moments_raw: np.ndarray      # (n_r, n_poly, 2) coarse/fine midpoint sums
     successive_diffs: np.ndarray  # (n_r - 1, n_poly) |moment_{i+1} - moment_i|
     masked_fractions: tuple
-    tail_bound: float
 
 
 def multiplicity_limit_probe(sym: FourierSymbol, r_list, test_polys,
-                             grid: GridSpec, eps: float | None = None) -> MomentProbe:
+                             grid: GridSpec) -> MomentProbe:
     """Moments (1/2 pi i) int p(x,y) m_{Phi_r} dxdy along increasing radii.
 
     Reports Cauchy diagnostics only; no limit value is claimed.  Fails if
@@ -605,7 +600,7 @@ def multiplicity_limit_probe(sym: FourierSymbol, r_list, test_polys,
     raw = np.zeros((len(r_values), len(polys), 2), dtype=complex)
     fractions = []
     for i, r in enumerate(r_values):
-        pair = MeasureDensity.build(sym, r, grid, eps)
+        pair = MeasureDensity.build(sym, r, grid)
         if pair.masked_area_fraction > 0.10:
             raise MaskCoverageError(
                 f"{100 * pair.masked_area_fraction:.1f}% of the box is masked at r={r}")
@@ -614,4 +609,4 @@ def multiplicity_limit_probe(sym: FourierSymbol, r_list, test_polys,
             moments[i, k], coarse, fine = pair.moment(p)
             raw[i, k] = (coarse, fine)
     diffs = np.abs(np.diff(moments, axis=0))
-    return MomentProbe(r_values, moments, raw, diffs, tuple(fractions), sym.tail_bound)
+    return MomentProbe(r_values, moments, raw, diffs, tuple(fractions))

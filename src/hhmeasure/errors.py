@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
-Validation errors signal bad inputs or violated preconditions; numerical
-errors signal that a computation could not be completed reliably. The CLI
-maps the former to exit code 2 and the latter to exit code 3.
+Every error derives from exactly one of two categories.  A ValidationError
+signals a bad input or a violated precondition; a NumericalError signals
+that a computation could not be completed reliably.  The CLI maps the
+former to exit code 2 and the latter to exit code 3.
 """
 
 
@@ -10,87 +11,73 @@ class HHMeasureError(Exception):
     """Base class for all package-specific errors."""
 
 
+class ValidationError(HHMeasureError):
+    """Bad input or violated precondition (CLI exit code 2)."""
+
+
+class NumericalError(HHMeasureError):
+    """A computation could not be completed reliably (CLI exit code 3)."""
+
+
 # -- validation / precondition errors ---------------------------------------
 
-class SchemaError(HHMeasureError):
+class SchemaError(ValidationError):
     """A symbol-spec file violates the documented JSON schema."""
 
 
-class SampleCountError(HHMeasureError):
+class SampleCountError(ValidationError):
     """Sample arrays must hold a power-of-two number of points (>= 4)."""
 
 
-class RangeError(HHMeasureError):
+class RangeError(ValidationError):
     """A scalar parameter lies outside its admissible range."""
 
 
-class DomainError(HHMeasureError):
+class DomainError(ValidationError):
     """A point lies outside the domain of the requested evaluation."""
 
 
-class TailError(HHMeasureError):
+class TailError(ValidationError):
     """Operation requires an exact finite-band symbol, not a truncation."""
 
 
-class OrderError(HHMeasureError):
+class OrderError(ValidationError):
     """Weighted-shift limits are ordered the wrong way round."""
 
 
-class WindowError(HHMeasureError):
+class WindowError(ValidationError):
     """Perturbation index is smaller than the weight window."""
 
 
-class ConjugateError(HHMeasureError):
+class ConjugateError(ValidationError):
     """Exponents fail the Holder-conjugacy requirement 1/p + 1/q = 1."""
 
 
 # -- numerical failures ------------------------------------------------------
 
-class StabilizationError(HHMeasureError):
+class StabilizationError(NumericalError):
     """Commutator trace changed between truncation sizes; bound reasoning failed."""
 
 
-class WindingUndefined(HHMeasureError):
+class WindingUndefined(NumericalError):
     """Curve cannot be kept separated from the query point."""
 
 
-class NonIntegerError(HHMeasureError):
+class NonIntegerError(NumericalError):
     """Accumulated winding failed the integrality check (under-resolution)."""
 
 
-class DegenerateRoot(HHMeasureError):
+class DegenerateRoot(NumericalError):
     """A root has near-zero Jacobian, or the preimage set is not discrete."""
 
 
-class NoConvergence(HHMeasureError):
+class NoConvergence(NumericalError):
     """Newton from the last two quadtree levels found different preimage sets."""
 
 
-class MaskCoverageError(HHMeasureError):
+class MaskCoverageError(NumericalError):
     """Masked cells cover too much of the quadrature region to trust a report."""
 
 
-class NonFiniteError(HHMeasureError):
+class NonFiniteError(NumericalError):
     """A computed value overflowed or became undefined (inf or nan)."""
-
-
-VALIDATION_ERRORS = (
-    SchemaError,
-    SampleCountError,
-    RangeError,
-    DomainError,
-    TailError,
-    OrderError,
-    WindowError,
-    ConjugateError,
-)
-
-NUMERICAL_ERRORS = (
-    StabilizationError,
-    WindingUndefined,
-    NonIntegerError,
-    DegenerateRoot,
-    NoConvergence,
-    MaskCoverageError,
-    NonFiniteError,
-)

@@ -36,9 +36,9 @@ __all__ = [
 
 
 def hh_density(sym: FourierSymbol, r: float, grid: GridSpec,
-               eps: float | None = None, refine: bool = True) -> MeasureDensity:
+               refine: bool = True) -> MeasureDensity:
     """Density grid of the measure of T_{phi_r} (or T_phi when r = 1)."""
-    return MeasureDensity.build(sym, r, grid, eps, refine)
+    return MeasureDensity.build(sym, r, grid, refine)
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class TraceFormulaReport:
 
 def trace_formula_check(sym: FourierSymbol, p: BivariatePolynomial,
                         q: BivariatePolynomial, grid: GridSpec | None = None,
-                        r: float = 1.0, eps: float | None = None,
+                        r: float = 1.0,
                         n_override: int | None = None) -> TraceFormulaReport:
     """Compare tr([p(X,Y), q(X,Y)]) with the quadrature of J(p,q) * density.
 
@@ -92,7 +92,7 @@ def trace_formula_check(sym: FourierSymbol, p: BivariatePolynomial,
             f"grid box must contain the closed disk of radius {reach:g}")
     sym_eff = sym.poisson_smooth(r) if r < 1.0 else sym
     lhs, n_used = commutator_trace(sym_eff, p, q, n_override, _details=True)
-    density = hh_density(sym, r, grid, eps, refine=True)
+    density = hh_density(sym, r, grid, refine=True)
     weight = jacobian_bracket(p, q)
     wvals = weight(*density.grid.grid.mesh())
     rhs, coarse, fine = density.moment(weight, wvals)
@@ -138,8 +138,7 @@ def total_variation(density: MeasureDensity) -> float:
     return density.tv()[0]
 
 
-def brown_bound_check(sym: FourierSymbol, r: float, grid: GridSpec | None = None,
-                      eps: float | None = None):
+def brown_bound_check(sym: FourierSymbol, r: float, grid: GridSpec | None = None):
     """Total variation against the trace-norm bound ||[T*, T]||_1 / 2.
 
     Returns (tv, bound, ok); both quantities refer to the same operator
@@ -148,7 +147,7 @@ def brown_bound_check(sym: FourierSymbol, r: float, grid: GridSpec | None = None
     if grid is None:
         grid = default_grid(sym)
     sym_eff = sym.poisson_smooth(r) if r < 1.0 else sym
-    density = hh_density(sym, r, grid, eps)
+    density = hh_density(sym, r, grid)
     tv, coarse, _ = density.tv()
     n = max(sym_eff.band, 1)
     bound = schatten_norm(self_commutator(sym_eff, n), 1) / 2.0
@@ -184,7 +183,6 @@ class SmoothingLimitReport:
 
     probe: MomentProbe
     lhs: complex
-    weight: BivariatePolynomial
     tail_bound: float
 
     def to_dict(self) -> dict:
@@ -221,4 +219,4 @@ def smoothing_limit_probe(sym: FourierSymbol, p: BivariatePolynomial,
     probe = multiplicity_limit_probe(sym, r_list, [weight], grid)
     # operator side for the stored truncation; the discarded tail is noted
     lhs = commutator_trace(FourierSymbol(dict(sym.coeffs)), p, q)
-    return SmoothingLimitReport(probe, lhs, weight, sym.tail_bound)
+    return SmoothingLimitReport(probe, lhs, sym.tail_bound)

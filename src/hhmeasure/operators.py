@@ -23,33 +23,11 @@ _MAX_BLOCK = 2048  # largest side of a dense commutator block; one block is 64 M
 
 
 @dataclass(frozen=True)
-class NCWord:
-    """Nonempty word over the alphabet {X, Y}."""
-
-    letters: str
-
-    def __post_init__(self):
-        if not self.letters or set(self.letters) - {"X", "Y"}:
-            raise ValueError(f"word must be a nonempty string over X/Y, got {self.letters!r}")
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __iter__(self):
-        return iter(self.letters)
-
-
-@dataclass(frozen=True)
 class TruncatedMatrix:
-    """N x N complex block with an exactness marker.
-
-    ``exact_block = B`` means the top-left B x B block coincides with the
-    corresponding block of the infinite operator.
-    """
+    """N x N complex block; ``selfadjoint`` blocks are checked to be Hermitian."""
 
     dim: int
     entries: np.ndarray
-    exact_block: int | None = None
     selfadjoint: bool = False
 
     def __post_init__(self):
@@ -79,7 +57,7 @@ def toeplitz_matrix(sym: FourierSymbol, n: int) -> TruncatedMatrix:
     ent = np.zeros((n, n), dtype=complex)
     for k, c in sym.coeffs.items():
         ent[diff == k] = c
-    return TruncatedMatrix(n, ent, exact_block=n, selfadjoint=sym.real_valued)
+    return TruncatedMatrix(n, ent, selfadjoint=sym.real_valued)
 
 
 def hankel_matrix(sym: FourierSymbol, n: int) -> TruncatedMatrix:
@@ -96,7 +74,7 @@ def hankel_matrix(sym: FourierSymbol, n: int) -> TruncatedMatrix:
     for k, c in sym.coeffs.items():
         if k < 0:
             ent[total == (-k - 1)] = c
-    return TruncatedMatrix(n, ent, exact_block=n)
+    return TruncatedMatrix(n, ent)
 
 
 def self_commutator(sym: FourierSymbol, n: int) -> TruncatedMatrix:
@@ -117,31 +95,7 @@ def self_commutator(sym: FourierSymbol, n: int) -> TruncatedMatrix:
     af[:rows, :band] = np.concatenate((fa, pad))[idx]
     ag[:rows, :band] = np.concatenate((ga, pad))[idx]
     ent = af @ af.conj().T - ag @ ag.conj().T
-    return TruncatedMatrix(n, ent, exact_block=n, selfadjoint=True)
-
-
-def word_matrix(sym: FourierSymbol, word, n: int) -> TruncatedMatrix:
-    """Exact top-left block of a word in X = T_{Re phi}, Y = T_{Im phi}.
-
-    Each factor has bandwidth K = band(phi), so entries of the infinite
-    product at indices < n only involve indices < n + len(word) * K; the
-    product of truncations of that inner size is therefore exact on the
-    requested block.
-    """
-    if not isinstance(word, NCWord):
-        word = NCWord(str(word))
-    if not sym.is_finite_band:
-        raise TailError("word evaluation needs an exact finite-band symbol; truncate first")
-    if n < 1:
-        raise RangeError("dimension must be >= 1")
-    k = sym.band
-    m = n + len(word) * k
-    x = toeplitz_matrix(sym.real_part(), m).entries
-    y = toeplitz_matrix(sym.imag_part(), m).entries
-    prod = np.eye(m, dtype=complex)
-    for letter in word:
-        prod = prod @ (x if letter == "X" else y)
-    return TruncatedMatrix(n, prod[:n, :n], exact_block=n)
+    return TruncatedMatrix(n, ent, selfadjoint=True)
 
 
 # -- traces ------------------------------------------------------------------------
@@ -214,15 +168,10 @@ def commutator_trace(sym: FourierSymbol, p: BivariatePolynomial,
 
 
 def schatten_norm(mat: TruncatedMatrix, p: float) -> float:
-    """Schatten p-norm (sum sigma_i^p)^(1/p) over the exact block.
-
-    When ``exact_block < dim`` only the exact part enters, making the value
-    a certified lower bound for the infinite operator.
-    """
+    """Schatten p-norm (sum sigma_i^p)^(1/p) of the whole block."""
     if p < 1:
         raise RangeError(f"Schatten exponent must be >= 1, got {p}")
-    b = mat.exact_block if mat.exact_block is not None else mat.dim
-    sv = np.linalg.svd(mat.entries[:b, :b], compute_uv=False)
+    sv = np.linalg.svd(mat.entries, compute_uv=False)
     if p == 1:
         return float(np.sum(sv))
     if p == 2:
@@ -239,7 +188,7 @@ def power_diag(r: float, n: int) -> TruncatedMatrix:
     if n < 1:
         raise RangeError("dimension must be >= 1")
     return TruncatedMatrix(n, np.diag(r ** np.arange(n, dtype=float)).astype(complex),
-                           exact_block=n, selfadjoint=True)
+                           selfadjoint=True)
 
 
 def shift_conjugate(mat: TruncatedMatrix, ell: int) -> TruncatedMatrix:
@@ -256,8 +205,7 @@ def shift_conjugate(mat: TruncatedMatrix, ell: int) -> TruncatedMatrix:
     n = mat.dim + s
     ent = np.zeros((n, n), dtype=complex)
     ent[s:, s:] = mat.entries
-    exact = n if mat.exact_block == mat.dim else None
-    return TruncatedMatrix(n, ent, exact, mat.selfadjoint)
+    return TruncatedMatrix(n, ent, mat.selfadjoint)
 
 
 def smoothing_trace_identity(sym: FourierSymbol, corner, r: float):

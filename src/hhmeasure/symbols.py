@@ -28,28 +28,9 @@ from numpy.polynomial import polynomial as npoly
 from .errors import DomainError, RangeError, SampleCountError, SchemaError, TailError
 
 _SYM_TOL = 1e-12  # tolerance for the real-valuedness check c(-k) == conj(c(k))
-
-
-@dataclass(frozen=True)
-class DiskPoint:
-    """A point of the closed unit disc; construction rejects |z| > 1."""
-
-    z: complex
-
-    def __post_init__(self):
-        if abs(self.z) > 1.0 + 1e-12:
-            raise DomainError(f"|z| = {abs(self.z)} exceeds 1")
-
-    @property
-    def interior(self) -> bool:
-        return abs(self.z) < 1.0
-
-
-def _as_complex(z):
-    """Unwrap DiskPoint, pass through scalars and arrays."""
-    if isinstance(z, DiskPoint):
-        return z.z
-    return z
+# largest |k| a symbol file may hold: no curve of a larger band can be sampled
+# within degree._MAX_CURVE_POINTS = 2 * _MAX_BAND points
+_MAX_BAND = 1 << 17
 
 
 @dataclass(frozen=True, eq=True)
@@ -212,14 +193,14 @@ class FourierSymbol:
         Interior points are always allowed; |z| = 1 requires an exact
         finite-band symbol (absolute convergence is then trivial).
         """
-        zv = np.asarray(_as_complex(z), dtype=complex)
+        zv = np.asarray(z, dtype=complex)
         a = np.abs(zv)
         if np.any(a > 1.0 + 1e-12):
             raise DomainError("harmonic extension is only defined on the closed disc")
         if not self.is_finite_band and np.any(a >= 1.0):
             raise TailError("boundary evaluation needs an exact finite-band symbol")
         out = _eval_extension(self, zv)
-        if np.isscalar(z) or isinstance(z, (complex, float, int, DiskPoint)):
+        if np.isscalar(z):
             return complex(out)
         return out
 
@@ -232,11 +213,10 @@ class FourierSymbol:
 
     def wirtinger(self, z) -> tuple[complex, complex]:
         """Wirtinger derivatives (dPhi/dz, dPhi/dzbar) at an interior point."""
-        zv = _as_complex(z)
-        if np.any(np.abs(np.asarray(zv)) >= 1.0):
+        if np.any(np.abs(np.asarray(z)) >= 1.0):
             raise DomainError("Wirtinger derivatives require |z| < 1")
-        dz, dzbar = _wirtinger(self, zv)
-        if np.isscalar(zv) or isinstance(zv, complex):
+        dz, dzbar = _wirtinger(self, z)
+        if np.isscalar(z):
             return complex(dz), complex(dzbar)
         return dz, dzbar
 
@@ -289,7 +269,8 @@ def load_symbol_spec(source) -> FourierSymbol:
         {"type": "finite_band", "coeffs": [{"k": 1, "re": 1.0, "im": 0.0}, ...]}
         {"type": "samples", "values": [[re, im], ...]}   # power-of-two length
 
-    Unknown fields and non-finite numbers (NaN, +-Infinity) are rejected.
+    Unknown fields, non-finite numbers (NaN, +-Infinity) and frequencies
+    with |k| > _MAX_BAND are rejected.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -316,6 +297,8 @@ def load_symbol_spec(source) -> FourierSymbol:
             k, re, im = item["k"], item["re"], item["im"]
             if not isinstance(k, int) or isinstance(k, bool):
                 raise SchemaError(f"'k' must be an integer, got {k!r}")
+            if abs(k) > _MAX_BAND:
+                raise SchemaError(f"|k| must be at most {_MAX_BAND}, got {k}")
             if not (_finite_number(re) and _finite_number(im)):
                 raise SchemaError(f"'re'/'im' must be finite numbers, got {item!r}")
             coeffs[k] = coeffs.get(k, 0j) + complex(re, im)

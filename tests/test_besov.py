@@ -47,8 +47,9 @@ class TestAnalyticSeminorm:
         assert rep.seminorm_partial == pytest.approx(2 * math.pi, abs=1e-8)
 
     def test_rejects_bad_exponent(self):
-        with pytest.raises(RangeError):
-            analytic_besov_seminorm(FourierSymbol({1: 1.0}), 0.5)
+        for p in (0.5, math.inf, -math.inf, math.nan):
+            with pytest.raises(RangeError):
+                analytic_besov_seminorm(FourierSymbol({1: 1.0}), p)
 
     def test_rejects_coanalytic(self):
         with pytest.raises(RangeError):
@@ -108,8 +109,10 @@ class TestSufficientCondition:
         assert verdict.verdict == "not met"
 
     def test_conjugate_error(self):
-        with pytest.raises(ConjugateError):
-            almost_normal_sufficient(FourierSymbol({1: 1.0}), 3.0, 1.4)
+        for p, q in ((3.0, 1.4), (2.0, math.nan), (1.0, math.nan), (math.nan, 2.0),
+                     (2.0, math.inf)):
+            with pytest.raises(ConjugateError):
+                almost_normal_sufficient(FourierSymbol({1: 1.0}), p, q)
 
     def test_b1_linf_variant(self):
         sym = FourierSymbol({1: 1.0, -1: 0.5j})

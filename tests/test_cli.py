@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from hhmeasure import cli, errors
 from hhmeasure.cli import main
 
 
@@ -232,6 +233,47 @@ class TestValidation:
         code = main(["frobnicate"])
         assert code == 2
 
+    @pytest.mark.parametrize("k", [10 ** 15, -10 ** 15])
+    @pytest.mark.parametrize("argv", [["besov"], ["winding", "--point", "0,0"]])
+    def test_huge_frequency_exits_2(self, capsys, tmp_path, argv, k):
+        path = tmp_path / "huge_k.json"
+        path.write_text(json.dumps({"type": "finite_band",
+                                    "coeffs": [{"k": k, "re": 1, "im": 0}]}))
+        code, out, err = run_cli(capsys, argv[0], "--symbol", str(path), *argv[1:])
+        assert code == 2 and out == ""
+        diagnostic = strict_json(err)
+        assert diagnostic["error"] == "SchemaError"
+        assert str(k) in diagnostic["message"]
+
+
+class TestErrorTaxonomy:
+    CATEGORIES = {errors.ValidationError: (2, "schema"), errors.NumericalError: (3, "numerical")}
+
+    @staticmethod
+    def leaf_classes():
+        return [c for c in vars(errors).values()
+                if isinstance(c, type) and issubclass(c, errors.HHMeasureError)
+                and c not in (errors.HHMeasureError, errors.ValidationError,
+                              errors.NumericalError)]
+
+    def test_each_error_has_one_category(self):
+        classes = self.leaf_classes()
+        assert len(classes) == 15
+        for cls in classes:
+            assert sum(issubclass(cls, base) for base in self.CATEGORIES) == 1, cls
+
+    def test_exit_code_follows_category(self, capsys, monkeypatch):
+        for cls in self.leaf_classes():
+            def fail(config, cls=cls):
+                raise cls("injected")
+
+            monkeypatch.setitem(cli._SUBCOMMANDS, "gallery", fail)
+            code, out, err = run_cli(capsys, "gallery")
+            base = next(b for b in self.CATEGORIES if issubclass(cls, b))
+            diagnostic = strict_json(err)
+            assert (code, diagnostic["code"]) == self.CATEGORIES[base], cls
+            assert out == "" and diagnostic["error"] == cls.__name__
+
 
 class TestWinding:
     def test_points(self, capsys, shift_symbol):
@@ -302,6 +344,22 @@ class TestBesov:
         code, _, err = run_cli(capsys, "besov", "--symbol", shift_symbol,
                                "--p", "3.0", "--q", "1.4")
         assert code == 2
+
+    @pytest.mark.parametrize("exponents", [
+        ["--p", "inf"], ["--p", "nan"], ["--p", "inf", "--q", "1"],
+        ["--p", "nan", "--q", "2"], ["--p", "2", "--q", "nan"],
+        ["--p", "1", "--q", "nan"], ["--p", "2", "--q", "inf"],
+    ])
+    def test_non_finite_exponent_exits_2(self, capsys, shift_symbol, exponents):
+        code, out, err = run_cli(capsys, "besov", "--symbol", shift_symbol, *exponents)
+        assert code == 2 and out == ""
+        assert strict_json(err)["code"] == "schema"
+
+    def test_b1_linf_variant(self, capsys, shift_symbol):
+        code, out, _ = run_cli(capsys, "besov", "--symbol", shift_symbol,
+                               "--p", "1", "--q", "inf")
+        assert code == 0
+        assert strict_json(out)["almost_normal_sufficient"]["verdict"] == "met"
 
 
 class TestGallery:

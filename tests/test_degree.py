@@ -263,8 +263,8 @@ class TestMaskedCellsStoreZero:
         grid = GridSpec(0, 1, 0, 1, 2, 2)
         invalid = np.array([[True, False], [False, False]])
         with pytest.raises(RangeError, match="invalid cells"):
-            MultiplicityGrid(grid, np.ones((2, 2)), invalid, 0.1, 1.0, 8)
-        MultiplicityGrid(grid, np.array([[0, 1], [1, 1]]), invalid, 0.1, 1.0, 8)
+            MultiplicityGrid(grid, np.ones((2, 2)), invalid, 0.1, 8)
+        MultiplicityGrid(grid, np.array([[0, 1], [1, 1]]), invalid, 0.1, 8)
 
 
 class TestCoarseCurveReuse:
@@ -282,15 +282,6 @@ class TestCoarseCurveReuse:
         pair = MeasureDensity.build(sym, 0.9, grid)
         assert len(calls) == 1
         fresh = multiplicity_grid(sym, 0.9, grid.refined())
-        assert pair.fine.curve_points == fresh.curve_points
-        assert np.array_equal(pair.fine.values, fresh.values)
-        assert np.array_equal(pair.fine.invalid, fresh.invalid)
-
-    def test_explicit_eps(self, rng):
-        sym = random_symbol(rng, 2)
-        grid = default_grid(sym, 50)
-        pair = MeasureDensity.build(sym, 1.0, grid, eps=0.05)
-        fresh = multiplicity_grid(sym, 1.0, grid.refined(), 0.025)
         assert pair.fine.curve_points == fresh.curve_points
         assert np.array_equal(pair.fine.values, fresh.values)
         assert np.array_equal(pair.fine.invalid, fresh.invalid)

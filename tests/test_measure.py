@@ -48,9 +48,9 @@ class TestDensityPair:
         assert measure.MeasureDensity is degree.MeasureDensity
 
     def test_build_halves_eps_on_the_fine_grid(self):
-        d = degree.MeasureDensity.build(SHIFT, 1.0, self.GRID, eps=0.08)
-        assert d.grid.grid == self.GRID and d.grid.eps == 0.08
-        assert d.fine.grid == self.GRID.refined() and d.fine.eps == 0.04
+        d = degree.MeasureDensity.build(SHIFT, 1.0, self.GRID)
+        assert d.grid.grid == self.GRID and d.grid.eps == 2 * self.GRID.cell_diag
+        assert d.fine.grid == self.GRID.refined() and d.fine.eps == d.grid.eps / 2
         assert degree.MeasureDensity.build(SHIFT, 1.0, self.GRID, refine=False).fine is None
 
     def test_richardson_pair(self):

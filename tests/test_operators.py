@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from hhmeasure import FourierSymbol, NCWord, TruncatedMatrix, operators
+from hhmeasure import FourierSymbol, TruncatedMatrix, operators
 from hhmeasure.errors import NonFiniteError, RangeError, StabilizationError, TailError
 from hhmeasure.operators import (commutator_trace, hankel_matrix, power_diag,
                                  schatten_norm, self_commutator, shift_conjugate,
                                  smoothing_trace_identity, toeplitz_matrix,
-                                 word_matrix, _poly_in_xy)
-from hhmeasure.poly import BivariatePolynomial as P
+                                 _commutator_block, _poly_in_xy)
+from hhmeasure.poly import BivariatePolynomial as P, parse_polynomial
 
 from conftest import random_symbol
 
@@ -27,7 +27,6 @@ class TestToeplitz:
     def test_shift(self):
         t = toeplitz_matrix(SHIFT, 3)
         assert np.array_equal(t.entries, np.diag([1.0, 1.0], -1).astype(complex))
-        assert t.exact_block == 3
 
     def test_constant(self):
         t = toeplitz_matrix(FourierSymbol({0: 2.0}), 4)
@@ -89,32 +88,22 @@ class TestSelfCommutator:
         assert not c[:, 3:].any()
 
 
-class TestWordMatrix:
-    def test_single_letter(self):
-        w = word_matrix(SHIFT, "X", 4)
-        assert np.allclose(w.entries, toeplitz_matrix(SHIFT.real_part(), 4).entries)
-
-    def test_xy_against_oversized_product(self):
-        x = toeplitz_matrix(SHIFT.real_part(), 10).entries
-        y = toeplitz_matrix(SHIFT.imag_part(), 10).entries
-        oracle = (x @ y)[:2, :2]
-        assert np.allclose(word_matrix(SHIFT, "XY", 2).entries, oracle, atol=1e-15)
-
-    def test_commutator_word_trace(self):
-        xy = word_matrix(SHIFT, "XY", 5).entries
-        yx = word_matrix(SHIFT, "YX", 5).entries
-        assert complex(np.trace(xy - yx)) == pytest.approx(-0.5j)
-
-    def test_requires_finite_band(self):
-        sym = FourierSymbol({1: 1.0}, tail_bound=0.5)
-        with pytest.raises(TailError):
-            word_matrix(sym, "X", 3)
-
-    def test_word_validation(self):
-        with pytest.raises(ValueError):
-            NCWord("")
-        with pytest.raises(ValueError):
-            NCWord("XZ")
+class TestPaddedProduct:
+    def test_block_equals_oversized_product(self, rng):
+        """The padded-product rule: padding the inner truncation by
+        (deg p + deg q) * band makes the n x n corner of [p(X,Y), q(X,Y)]
+        exact, so it equals the corner of a product of much larger
+        truncations, multiplied out letter by letter."""
+        p, q = parse_polynomial("x^2*y"), parse_polynomial("y*x")
+        for sym in [SHIFT] + [random_symbol(rng, band) for band in (1, 2, 3)]:
+            for n in (1, 4, 9):
+                m = n + 40
+                x = toeplitz_matrix(sym.real_part(), m).entries
+                y = toeplitz_matrix(sym.imag_part(), m).entries
+                pm, qm = x @ x @ y, x @ y  # x^i y^j -> X^i Y^j
+                oracle = (pm @ qm - qm @ pm)[:n, :n]
+                block = _commutator_block(sym, p, q, n)
+                assert np.max(np.abs(block - oracle)) < 1e-12
 
 
 class TestCommutatorTrace:
@@ -186,6 +175,11 @@ class TestCommutatorTrace:
             commutator_trace(band16, P.monomial(30, 0), P.monomial(0, 30))  # side 2944
         assert sizes == [2046]
 
+    def test_requires_finite_band(self):
+        sym = FourierSymbol({1: 1.0}, tail_bound=0.5)
+        with pytest.raises(TailError):
+            commutator_trace(sym, P.x(), P.y())
+
     @pytest.mark.filterwarnings("error")
     def test_overflow_raises_nonfinite(self):
         with pytest.raises(NonFiniteError):
@@ -203,18 +197,18 @@ class TestCommutatorTrace:
 
 class TestSchatten:
     def test_identity_trace_norm(self):
-        mat = TruncatedMatrix(5, np.eye(5, dtype=complex), exact_block=5)
+        mat = TruncatedMatrix(5, np.eye(5, dtype=complex))
         assert schatten_norm(mat, 1) == pytest.approx(5.0)
 
     def test_rank_one(self):
         e = np.zeros((4, 4), dtype=complex)
         e[0, 0] = 1.0
-        mat = TruncatedMatrix(4, e, exact_block=4)
+        mat = TruncatedMatrix(4, e)
         for p in (1.0, 1.7, 2.0, 4.0):
             assert schatten_norm(mat, p) == pytest.approx(1.0)
 
     def test_diag_3_4(self):
-        mat = TruncatedMatrix(2, np.diag([3.0, 4.0]).astype(complex), exact_block=2)
+        mat = TruncatedMatrix(2, np.diag([3.0, 4.0]).astype(complex))
         assert schatten_norm(mat, 2) == pytest.approx(5.0)
 
     def test_rejects_p_below_one(self):
@@ -245,7 +239,7 @@ class TestShiftConjugate:
     def e00(self, n=1):
         ent = np.zeros((n, n), dtype=complex)
         ent[0, 0] = 1.0
-        return TruncatedMatrix(n, ent, exact_block=n)
+        return TruncatedMatrix(n, ent)
 
     def test_ell_2(self):
         out = shift_conjugate(self.e00(), 2)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhmeasure import DiskPoint, FourierSymbol, load_symbol_spec
+from hhmeasure import FourierSymbol, load_symbol_spec
 from hhmeasure.errors import (DomainError, RangeError, SampleCountError,
                               SchemaError, TailError)
 
@@ -174,18 +174,6 @@ class TestParts:
         FourierSymbol({1: 0.5, -1: 0.5}, real_valued=True)
 
 
-class TestDiskPoint:
-    def test_interior(self):
-        assert DiskPoint(0.5j).interior
-
-    def test_boundary_allowed(self):
-        assert not DiskPoint(1.0).interior
-
-    def test_outside_rejected(self):
-        with pytest.raises(DomainError):
-            DiskPoint(1.1)
-
-
 class TestSymbolSpecFiles:
     def test_finite_band(self, tmp_path):
         path = tmp_path / "sym.json"
@@ -216,10 +204,18 @@ class TestSymbolSpecFiles:
         {"type": "finite_band", "coeffs": [{"k": 1, "re": 10 ** 400, "im": 0}]},
         {"type": "samples", "values": [[1.0, 0.0], [float("nan"), 1.0], [-1.0, 0.0],
                                        [0.0, -1.0]]},
+        {"type": "finite_band", "coeffs": [{"k": 2 ** 17 + 1, "re": 1.0, "im": 0.0}]},
+        {"type": "finite_band", "coeffs": [{"k": -10 ** 15, "re": 1.0, "im": 0.0}]},
     ])
     def test_rejects_malformed(self, doc):
         with pytest.raises(SchemaError):
             load_symbol_spec(doc)
+
+    def test_largest_frequency_accepted(self):
+        # loading builds no array, so the largest admitted |k| costs nothing here
+        sym = load_symbol_spec({"type": "finite_band",
+                                "coeffs": [{"k": -2 ** 17, "re": 1.0, "im": 0.0}]})
+        assert sym.band == 2 ** 17
 
     def test_sample_count_error(self):
         with pytest.raises(SampleCountError):

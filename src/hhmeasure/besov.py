@@ -29,6 +29,8 @@ from .symbols import FourierSymbol, _jacobian
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _N_PANELS = 24
+# largest band the disk quadrature takes; its work per ring grows about as band^2
+_MAX_QUAD_BAND = 512
 
 
 def default_radii(levels: int = 4) -> tuple:
@@ -78,8 +80,12 @@ def _radial_panels(rho: float) -> np.ndarray:
 def _disk_integral_partials(integrand, radii, band: int) -> list[float]:
     """Cumulative integrals of integrand(r, theta-array) over growing disks.
 
-    Raises NonFiniteError when a partial overflows the float range.
+    Raises RangeError before integrating when band exceeds _MAX_QUAD_BAND,
+    and NonFiniteError when a partial overflows the float range.
     """
+    if band > _MAX_QUAD_BAND:
+        raise RangeError(f"band {band} exceeds the {_MAX_QUAD_BAND} guard"
+                         " of the disk quadrature")
     n_theta = max(128, 8 * band + 16)
     thetas = np.arange(n_theta) * (2 * np.pi / n_theta)
     d_theta = 2 * np.pi / n_theta

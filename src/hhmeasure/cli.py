@@ -33,7 +33,10 @@ def _fmt(x: float) -> str:
 
 
 def _dump_json(obj, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON: sorted keys, 17-significant-digit floats.
+
+    A complex number is written as the object {"im": ..., "re": ...}.
+    """
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -54,6 +57,8 @@ def _dump_json(obj, indent: int = 0) -> str:
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt(obj)
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _dump_json({"re": obj.real, "im": obj.imag}, indent)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     raise TypeError(f"cannot serialize {type(obj)}")
@@ -254,7 +259,7 @@ def _run_winding(config: RunConfig) -> int:
     rows = []
     for lam in config.points:
         w = winding(curve, lam, eps)
-        rows.append({"lambda": {"re": lam.real, "im": lam.imag}, "winding": w})
+        rows.append({"lambda": lam, "winding": w})
     _emit(config, [_dump_json({"r": r, "eps": eps, "rows": rows,
                                "tail_bound": sym.tail_bound}) + "\n"])
     return 0
@@ -281,8 +286,7 @@ def _run_index_check(config: RunConfig) -> int:
     for lam in points:
         wind, value, ok = index_check(sym, lam, r, density=density)
         all_ok &= ok
-        rows.append({"lambda": {"re": lam.real, "im": lam.imag}, "winding": wind,
-                     "density": {"re": value.real, "im": value.imag}, "ok": ok})
+        rows.append({"lambda": lam, "winding": wind, "density": value, "ok": ok})
     _emit(config, [_dump_json({"r": r, "all_ok": all_ok, "rows": rows,
                                "tail_bound": sym.tail_bound,
                                "masked_area_fraction": density.masked_area_fraction}) + "\n"])

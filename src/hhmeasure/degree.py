@@ -19,26 +19,27 @@ Two independent routes to the same integers:
   no square survives, the count is 0 by proof, and otherwise Newton runs
   only from the centres of the surviving squares.
 
-Grid cells are independent, so per-cell evaluation may run concurrently;
-all outputs are pure functions of their inputs.
+This module owns the curves, the winding numbers, the rasters and the
+preimage oracle; the density m / (2 pi i) built from the rasters, and every
+integral over it, live in `measure`.  Grid cells are independent, so
+per-cell evaluation may run concurrently; all outputs are pure functions of
+their inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import (DegenerateRoot, MaskCoverageError, NoConvergence,
-                     NonIntegerError, RangeError, TailError, WindingUndefined)
+from .errors import (DegenerateRoot, NoConvergence, NonIntegerError, RangeError,
+                     TailError, WindingUndefined)
 from .symbols import _MAX_BAND, FourierSymbol, _eval_extension, _jacobian, _wirtinger
 
 _MAX_REFINE_PASSES = 48
 _MAX_CURVE_POINTS = 2 * _MAX_BAND
-_ABS_SUM_CELLS = 1 << 16  # cells per block of `_abs_sum`
 
 
 @dataclass(frozen=True)
@@ -484,129 +485,3 @@ def preimage_multiplicity(sym: FourierSymbol, r: float, w: complex) -> int:
             raise DegenerateRoot(f"|J| = {abs(jac):g} below tolerance at root {root}")
         total += 1 if jac > 0 else -1
     return total
-
-
-# -- the coarse/fine density pair and the r -> 1 probe -----------------------------
-
-@dataclass(frozen=True)
-class MeasureDensity:
-    """Complex raster of the measure density (1/2 pi i) * m over a box.
-
-    ``values[j, i] = m[j, i] / (2 pi i)`` on valid cells of the coarse grid
-    and 0 on masked ones.  The optional doubled-resolution companion ``fine``
-    turns every integral into the Richardson pair 2*fine - coarse, which
-    removes the O(h) bias of the curve-proximity mask; without it the coarse
-    midpoint sum is reported as is.
-    """
-
-    grid: MultiplicityGrid
-    fine: MultiplicityGrid | None = None
-
-    @classmethod
-    def build(cls, sym: FourierSymbol, r: float, grid: GridSpec,
-              refine: bool = True) -> "MeasureDensity":
-        """Rasterize phi_r on grid and, if refine, on its halving.
-
-        Each grid masks within twice its own cell diagonal, so the fine mask
-        is half as wide.  The fine grid refines the coarse grid's curve: its
-        chord target is half the coarse one, and uniform doubling from the
-        coarse level gives the same curve as doubling from the initial
-        sampling.
-        """
-        coarse = multiplicity_grid(sym, r, grid)
-        fine = None
-        if refine:
-            fine = multiplicity_grid(sym, r, grid.refined(), coarse.curve)
-        return cls(coarse, fine)
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return self.grid.values / (2j * np.pi)
-
-    @property
-    def masked_area_fraction(self) -> float:
-        return self.grid.masked_area_fraction
-
-    def value_at(self, w: complex):
-        m = self.grid.value_at(w)
-        if m is None:
-            return None
-        return complex(m / (2j * np.pi))
-
-    def _richardson(self, integral):
-        coarse = integral(self.grid)
-        if self.fine is None:
-            return coarse, coarse, coarse
-        fine = integral(self.fine)
-        return 2 * fine - coarse, coarse, fine
-
-    def moment(self, weight, coarse_weight: np.ndarray | None = None) -> tuple:
-        """(extrapolated, coarse, fine) of (1/2 pi i) int weight(x, y) m dxdy.
-
-        ``coarse_weight`` is weight already evaluated on the coarse mesh, for
-        callers that need those values too.
-        """
-        def midpoint(mg: MultiplicityGrid) -> complex:
-            if mg is self.grid and coarse_weight is not None:
-                wvals = coarse_weight
-            else:
-                wvals = weight(*mg.grid.mesh())
-            tot = float(np.sum(wvals * mg.values))
-            return complex(tot * mg.grid.cell_area / (2j * np.pi))
-        return self._richardson(midpoint)
-
-    def tv(self) -> tuple:
-        """(extrapolated, coarse, fine) of the total variation int |m| / 2 pi."""
-        return self._richardson(lambda mg: _abs_sum(mg.values)
-                                * mg.grid.cell_area / (2 * np.pi))
-
-
-def _abs_sum(values: np.ndarray) -> float:
-    """float(sum |values|) of an integer grid, taken over blocks of rows.
-
-    Every block sum is an exact integer, so this equals the sum over the
-    whole array without allocating a copy of it.
-    """
-    rows = max(1, _ABS_SUM_CELLS // values.shape[1])
-    return float(sum(int(np.abs(values[i:i + rows]).sum())
-                     for i in range(0, values.shape[0], rows)))
-
-
-@dataclass(frozen=True)
-class MomentProbe:
-    """Convergence diagnostics for grid moments along increasing radii."""
-
-    r_values: tuple
-    moments: np.ndarray          # (n_r, n_poly) extrapolated values
-    moments_raw: np.ndarray      # (n_r, n_poly, 2) coarse/fine midpoint sums
-    successive_diffs: np.ndarray  # (n_r - 1, n_poly) |moment_{i+1} - moment_i|
-    masked_fractions: tuple
-
-
-def multiplicity_limit_probe(sym: FourierSymbol, r_list, test_polys,
-                             grid: GridSpec) -> MomentProbe:
-    """Moments (1/2 pi i) int p(x,y) m_{Phi_r} dxdy along increasing radii.
-
-    Reports Cauchy diagnostics only; no limit value is claimed.  Fails if
-    more than 10% of the box is masked at any radius.
-    """
-    r_values = tuple(float(r) for r in r_list)
-    if not r_values or any(b <= a for a, b in zip(r_values, r_values[1:])):
-        raise RangeError("r_list must be nonempty and strictly increasing")
-    if r_values[-1] >= 1.0:
-        raise RangeError("probe radii must stay strictly below 1")
-    polys = list(test_polys)
-    moments = np.zeros((len(r_values), len(polys)), dtype=complex)
-    raw = np.zeros((len(r_values), len(polys), 2), dtype=complex)
-    fractions = []
-    for i, r in enumerate(r_values):
-        pair = MeasureDensity.build(sym, r, grid)
-        if pair.masked_area_fraction > 0.10:
-            raise MaskCoverageError(
-                f"{100 * pair.masked_area_fraction:.1f}% of the box is masked at r={r}")
-        fractions.append(pair.masked_area_fraction)
-        for k, p in enumerate(polys):
-            moments[i, k], coarse, fine = pair.moment(p)
-            raw[i, k] = (coarse, fine)
-    diffs = np.abs(np.diff(moments, axis=0))
-    return MomentProbe(r_values, moments, raw, diffs, tuple(fractions))

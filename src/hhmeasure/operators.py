@@ -10,6 +10,7 @@ All operations are pure; results may be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,9 +130,17 @@ def _commutator_block(sym: FourierSymbol, p: BivariatePolynomial,
     return comm[:n, :n]
 
 
+def _truncation(sym: FourierSymbol, p: BivariatePolynomial, q: BivariatePolynomial,
+                n_override: int | None = None) -> int:
+    """Truncation N of `commutator_trace`: n_override, else (deg p + deg q + 2) * band."""
+    n = n_override if n_override is not None else (p.degree + q.degree + 2) * max(sym.band, 1)
+    if n < 1:
+        raise RangeError("truncation override must be >= 1")
+    return n
+
+
 def commutator_trace(sym: FourierSymbol, p: BivariatePolynomial,
-                     q: BivariatePolynomial, n_override: int | None = None,
-                     *, _details: bool = False):
+                     q: BivariatePolynomial, n_override: int | None = None) -> complex:
     """Trace of the trace-class commutator [p(X,Y), q(X,Y)].
 
     Every word of length L in band-K Toeplitz operators is Toeplitz plus a
@@ -139,16 +148,14 @@ def commutator_trace(sym: FourierSymbol, p: BivariatePolynomial,
     exactly supported in a ((deg p + deg q + 1) * K)^2 corner and its trace
     is a finite computation.  A stabilization check guards the support
     reasoning (and any caller-supplied override): one exact block of side
-    2n gives both t(2n) and, on its leading n x n corner, t(n).  The padded
-    block side 2n + (deg p + deg q) * K may not exceed _MAX_BLOCK, and a
-    trace that overflows raises NonFiniteError.
+    2n, with n = `_truncation`, gives both t(2n) and, on its leading n x n
+    corner, t(n).  The padded block side 2n + (deg p + deg q) * K may not
+    exceed _MAX_BLOCK, and a trace that overflows raises NonFiniteError.
     """
     if not sym.is_finite_band:
         raise TailError("commutator traces need an exact finite-band symbol")
     k = max(sym.band, 1)
-    n = n_override if n_override is not None else (p.degree + q.degree + 2) * k
-    if n < 1:
-        raise RangeError("truncation override must be >= 1")
+    n = _truncation(sym, p, q, n_override)
     side = 2 * n + (p.degree + q.degree) * k
     if side > _MAX_BLOCK:
         raise RangeError(
@@ -162,15 +169,16 @@ def commutator_trace(sym: FourierSymbol, p: BivariatePolynomial,
     if abs(t1 - t2) > 1e-10:
         raise StabilizationError(
             f"trace changed from {t1} to {t2} between N={n} and N={2 * n}")
-    if _details:
-        return t2, 2 * n
     return t2
 
 
 def schatten_norm(mat: TruncatedMatrix, p: float) -> float:
-    """Schatten p-norm (sum sigma_i^p)^(1/p) of the whole block."""
-    if p < 1:
-        raise RangeError(f"Schatten exponent must be >= 1, got {p}")
+    """Schatten p-norm (sum sigma_i^p)^(1/p) of the whole block.
+
+    p must lie in [1, inf); NaN is rejected too.
+    """
+    if not 1.0 <= p < math.inf:
+        raise RangeError(f"Schatten exponent must lie in [1, inf), got {p}")
     sv = np.linalg.svd(mat.entries, compute_uv=False)
     if p == 1:
         return float(np.sum(sv))
@@ -181,33 +189,6 @@ def schatten_norm(mat: TruncatedMatrix, p: float) -> float:
 
 # -- smoothing decomposition machinery ------------------------------------------
 
-def power_diag(r: float, n: int) -> TruncatedMatrix:
-    """diag(1, r, r^2, ..., r^{n-1})."""
-    if not 0.0 < r < 1.0:
-        raise RangeError(f"diagonal ratio must lie in (0,1), got {r}")
-    if n < 1:
-        raise RangeError("dimension must be >= 1")
-    return TruncatedMatrix(n, np.diag(r ** np.arange(n, dtype=float)).astype(complex),
-                           selfadjoint=True)
-
-
-def shift_conjugate(mat: TruncatedMatrix, ell: int) -> TruncatedMatrix:
-    """Embed a corner block shifted down-right by ell - 1 positions.
-
-    entry(m, k) of the result is entry(m-ell+1, k-ell+1) of the input when
-    both indices are >= ell - 1, and 0 otherwise; the output dimension grows
-    accordingly.  The shift amount ell - 1 is forced by the index arithmetic
-    of the trace decomposition below (see smoothing_trace_identity).
-    """
-    if ell < 2:
-        raise RangeError(f"shift index must be >= 2, got {ell}")
-    s = ell - 1
-    n = mat.dim + s
-    ent = np.zeros((n, n), dtype=complex)
-    ent[s:, s:] = mat.entries
-    return TruncatedMatrix(n, ent, mat.selfadjoint)
-
-
 def smoothing_trace_identity(sym: FourierSymbol, corner, r: float):
     """Both sides of the trace decomposition that extracts the Poisson radius.
 
@@ -217,9 +198,12 @@ def smoothing_trace_identity(sym: FourierSymbol, corner, r: float):
         rhs = r^2 tr([T_phi^*, T_phi] R X R)
               - sum_{l>=2} r^{2l-2} (1 - r^2) tr([T_phi^*, T_phi] (R X R)^{(l)})
 
-    where R = diag(r^n) and (.)^{(l)} is `shift_conjugate`.  The l-sum stops
-    at l = band since the shifted corner then leaves the support of the
-    commutator.
+    where R = diag(r^n) and (.)^{(l)} embeds a block shifted down-right by
+    l - 1 positions.  The l-sum stops at l = band since the shifted corner
+    then leaves the support of the commutator.  Every term is the trace of a
+    product with one factor supported on a d x d window, so it is taken as
+    the elementwise sum tr(A B) = sum(A * B.T) over the window of a single
+    self-commutator block of side d + band - 1.
     """
     if not 0.0 < r < 1.0:
         raise RangeError(f"Poisson radius must lie in (0,1), got {r}")
@@ -229,15 +213,13 @@ def smoothing_trace_identity(sym: FourierSymbol, corner, r: float):
     d = x.shape[0]
     band = sym.band
 
-    c_small = self_commutator(sym.poisson_smooth(r), d).entries
-    lhs = complex(np.trace(c_small @ x))
+    lhs = complex(np.sum(self_commutator(sym.poisson_smooth(r), d).entries * x.T))
 
-    diag = power_diag(r, d).entries
-    rxr = TruncatedMatrix(d, diag @ x @ diag)
-    c = self_commutator(sym, d).entries
-    rhs = r ** 2 * complex(np.trace(c @ rxr.entries))
+    rv = r ** np.arange(d)
+    rxr_t = (x * rv[:, None] * rv).T
+    c = self_commutator(sym, d + max(band - 1, 0)).entries
+    rhs = r ** 2 * complex(np.sum(c[:d, :d] * rxr_t))
     for ell in range(2, band + 1):
-        shifted = shift_conjugate(rxr, ell)
-        c_big = self_commutator(sym, shifted.dim).entries
-        rhs -= r ** (2 * ell - 2) * (1 - r ** 2) * complex(np.trace(c_big @ shifted.entries))
+        s = ell - 1
+        rhs -= r ** (2 * ell - 2) * (1 - r ** 2) * complex(np.sum(c[s:s + d, s:s + d] * rxr_t))
     return lhs, rhs

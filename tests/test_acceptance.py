@@ -174,7 +174,7 @@ def test_08_weighted_shift_example():
 def test_09_smoothing_limit_probe():
     with criterion(9, "r -> 1 moment convergence"):
         rep = smoothing_limit_probe(SHIFT, P.x(), P.y(), [0.9, 0.99, 0.999], SHIFT_GRID)
-        errs = np.abs(rep.probe.moments[:, 0] - (-0.5j))
+        errs = np.abs(rep.moments - (-0.5j))
         assert errs[0] / errs[1] >= 5.0
         assert errs[1] / errs[2] >= 5.0
 
@@ -182,7 +182,7 @@ def test_09_smoothing_limit_probe():
                               tail_bound=float(sum(k ** -3.0 for k in range(21, 2000))))
         rep2 = smoothing_limit_probe(trunc, P.x(), P.y(), [0.9, 0.99, 0.999],
                                   default_grid(trunc, 300))
-        diffs = rep2.probe.successive_diffs[:, 0]
+        diffs = rep2.successive_diffs
         assert diffs[1] < diffs[0]
 
 

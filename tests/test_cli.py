@@ -340,6 +340,17 @@ class TestBesov:
         assert diagnostic["code"] == "numerical"
         assert diagnostic["error"] == "NonFiniteError"
 
+    @pytest.mark.parametrize("k", [513, -513])
+    def test_band_above_quadrature_guard_exits_2(self, capsys, tmp_path, k):
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"type": "finite_band",
+                                    "coeffs": [{"k": k, "re": 1.0, "im": 0.0}]}))
+        code, out, err = run_cli(capsys, "besov", "--symbol", str(path))
+        assert code == 2 and out == ""
+        diagnostic = strict_json(err)
+        assert diagnostic["error"] == "RangeError"
+        assert "512" in diagnostic["message"]
+
     def test_bad_conjugates(self, capsys, shift_symbol):
         code, _, err = run_cli(capsys, "besov", "--symbol", shift_symbol,
                                "--p", "3.0", "--q", "1.4")

@@ -4,13 +4,13 @@ import pytest
 from hhmeasure import FourierSymbol
 from hhmeasure.besov import jacobian_integrability
 from hhmeasure import degree
-from hhmeasure.degree import (GridSpec, MeasureDensity, MultiplicityGrid, SampledCurve,
-                              _polygon_windings, _proximity_mask, default_grid,
-                              multiplicity_grid, multiplicity_limit_probe,
+from hhmeasure.degree import (GridSpec, MultiplicityGrid, SampledCurve, _polygon_windings,
+                              _proximity_mask, default_grid, multiplicity_grid,
                               preimage_multiplicity, winding)
 from hhmeasure.errors import (DegenerateRoot, MaskCoverageError, NoConvergence,
                               NonIntegerError, RangeError, TailError,
                               WindingUndefined)
+from hhmeasure.measure import hh_density, smoothing_limit_probe
 from hhmeasure.poly import BivariatePolynomial as P
 from hhmeasure.symbols import _eval_extension
 
@@ -279,7 +279,7 @@ class TestCoarseCurveReuse:
             return from_symbol(*args, **kwargs)
 
         monkeypatch.setattr(SampledCurve, "from_symbol", counted)
-        pair = MeasureDensity.build(sym, 0.9, grid)
+        pair = hh_density(sym, 0.9, grid)
         assert len(calls) == 1
         fresh = multiplicity_grid(sym, 0.9, grid.refined())
         assert pair.fine.curve_points == fresh.curve_points
@@ -437,37 +437,41 @@ class TestL1Bound:
 
 
 class TestLimitProbe:
+    """The r -> 1 probe on the rasters of this module; the weight is J(p, q)."""
+
     def test_shift_disk_moments(self):
         grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 200, 200)
-        probe = multiplicity_limit_probe(SHIFT, [0.9], [P.constant(1.0)], grid)
-        assert probe.moments[0, 0] == pytest.approx(-0.405j, abs=1e-3)
+        rep = smoothing_limit_probe(SHIFT, P.x(), P.y(), [0.9], grid)  # J(x, y) = 1
+        assert rep.moments[0] == pytest.approx(-0.405j, abs=1e-3)
 
     def test_zero_poly(self):
         grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 150, 150)
-        probe = multiplicity_limit_probe(SHIFT, [0.5, 0.9], [P.constant(0.0)], grid)
-        assert not probe.moments.any()
+        rep = smoothing_limit_probe(SHIFT, P.x(), P.x(), [0.5, 0.9], grid)  # J(x, x) = 0
+        assert not rep.moments.any()
 
     def test_real_symbol_zero_moments(self, rng):
         sym = random_symbol(rng, 2, real=True)
         grid = default_grid(sym, 200)
-        probe = multiplicity_limit_probe(sym, [0.9], [P.constant(1.0), P.x()], grid)
-        assert np.max(np.abs(probe.moments)) < 1e-12
+        # J(x, y) = 1 and J(x^2 / 2, y) = x
+        for p in (P.x(), P.monomial(2, 0, 0.5)):
+            rep = smoothing_limit_probe(sym, p, P.y(), [0.9], grid)
+            assert np.max(np.abs(rep.moments)) < 1e-12
 
     def test_rejects_unsorted_r(self):
         grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 20, 20)
         with pytest.raises(RangeError):
-            multiplicity_limit_probe(SHIFT, [0.9, 0.5], [P.x()], grid)
+            smoothing_limit_probe(SHIFT, P.x(), P.y(), [0.9, 0.5], grid)
 
     def test_mask_budget(self):
         # a box hugging the curve is mostly masked at coarse resolution
         grid = GridSpec(0.9, 1.1, -0.1, 0.1, 4, 4)
-        with pytest.raises(MaskCoverageError):
-            multiplicity_limit_probe(SHIFT, [0.999], [P.x()], grid)
+        with pytest.raises(MaskCoverageError, match=r"masked at r=0\.999$"):
+            smoothing_limit_probe(SHIFT, P.x(), P.y(), [0.999], grid)
 
     def test_rejects_r_at_one(self):
         grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 20, 20)
         with pytest.raises(RangeError):
-            multiplicity_limit_probe(SHIFT, [0.9, 1.0], [P.x()], grid)
+            smoothing_limit_probe(SHIFT, P.x(), P.y(), [0.9, 1.0], grid)
 
 
 class TestGridSpec:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hhmeasure import FourierSymbol
-from hhmeasure import degree
+from hhmeasure import measure
 from hhmeasure.degree import GridSpec, default_grid
 from hhmeasure.errors import RangeError, WindingUndefined
 from hhmeasure.measure import (brown_bound_check, hh_density, index_check,
@@ -43,15 +43,11 @@ class TestHHDensity:
 class TestDensityPair:
     GRID = GridSpec(-1.5, 1.5, -1.5, 1.5, 150, 150)
 
-    def test_one_type_in_both_modules(self):
-        from hhmeasure import measure
-        assert measure.MeasureDensity is degree.MeasureDensity
-
     def test_build_halves_eps_on_the_fine_grid(self):
-        d = degree.MeasureDensity.build(SHIFT, 1.0, self.GRID)
+        d = hh_density(SHIFT, 1.0, self.GRID)
         assert d.grid.grid == self.GRID and d.grid.eps == 2 * self.GRID.cell_diag
         assert d.fine.grid == self.GRID.refined() and d.fine.eps == d.grid.eps / 2
-        assert degree.MeasureDensity.build(SHIFT, 1.0, self.GRID, refine=False).fine is None
+        assert hh_density(SHIFT, 1.0, self.GRID, refine=False).fine is None
 
     def test_richardson_pair(self):
         d = hh_density(SHIFT, 1.0, self.GRID)
@@ -106,7 +102,6 @@ class TestTraceFormula:
             assert rep.abs_err <= max(5e-3, 3 * rep.quad_err_estimate)
 
     def test_weight_evaluated_once_per_grid(self, monkeypatch):
-        from hhmeasure import measure
         shapes = []
         bracket = measure.jacobian_bracket
 
@@ -151,9 +146,9 @@ class TestTotalVariation:
     @pytest.mark.parametrize("shape", [(1, 5), (7, 3), (301, 7), (3, 50)])
     def test_blocked_abs_sum_is_exact(self, monkeypatch, shape):
         # 20 cells per block: several blocks, a ragged last one, and rows wider than a block
-        monkeypatch.setattr(degree, "_ABS_SUM_CELLS", 20)
+        monkeypatch.setattr(measure, "_ABS_SUM_CELLS", 20)
         values = np.random.default_rng(5).integers(-3, 4, size=shape)
-        assert degree._abs_sum(values) == float(np.sum(np.abs(values)))
+        assert measure._abs_sum(values) == float(np.sum(np.abs(values)))
 
 
 class TestBrownBound:
@@ -229,7 +224,7 @@ class TestSmoothingLimitProbe:
     def test_shift_moment_convergence(self):
         rep = smoothing_limit_probe(SHIFT, P.x(), P.y(), [0.9, 0.99],
                                  GridSpec(-1.5, 1.5, -1.5, 1.5, 200, 200))
-        m = rep.probe.moments[:, 0]
+        m = rep.moments
         assert m[0] == pytest.approx(-0.5j * 0.81, abs=5e-4)
         assert m[1] == pytest.approx(-0.5j * 0.9801, abs=5e-4)
         assert rep.lhs == pytest.approx(-0.5j, abs=1e-14)
@@ -237,14 +232,14 @@ class TestSmoothingLimitProbe:
     def test_p_equals_q_zero(self):
         rep = smoothing_limit_probe(SHIFT, P.x(), P.x(), [0.5, 0.9],
                                  GridSpec(-1.5, 1.5, -1.5, 1.5, 150, 150))
-        assert not rep.probe.moments.any()
+        assert not rep.moments.any()
         assert rep.lhs == 0
 
     def test_truncated_symbol_cauchy(self):
         sym = FourierSymbol({k: k ** -3.0 for k in range(1, 21)}, tail_bound=2e-3)
         rep = smoothing_limit_probe(sym, P.x(), P.y(), [0.9, 0.99, 0.999],
                                  default_grid(sym, 200))
-        diffs = rep.probe.successive_diffs[:, 0]
+        diffs = rep.successive_diffs
         assert diffs[1] < diffs[0]
         assert rep.tail_bound == 2e-3
         doc = rep.to_dict()

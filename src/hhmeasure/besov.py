@@ -25,7 +25,7 @@ from numpy.polynomial import polynomial as npoly
 
 from .errors import ConjugateError, NonFiniteError, RangeError, TailError
 from .operators import hankel_matrix, schatten_norm
-from .symbols import FourierSymbol, _jacobian
+from .symbols import FourierSymbol, _horner, _jacobian
 
 _GAUSS_NODES, _GAUSS_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _N_PANELS = 24
@@ -139,15 +139,16 @@ def analytic_besov_seminorm(f: FourierSymbol, p: float, radii=None) -> BesovRepo
     radii = _validate_radii(radii, p, f.is_finite_band)
 
     _, d1, _, _ = f._split
-    d2 = npoly.polyder(d1)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite d2 fails the integral
+        d2 = npoly.polyder(d1)
 
     if p == 1:
         def integrand(r, thetas):
-            return np.abs(npoly.polyval(r * np.exp(1j * thetas), d2))
+            return np.abs(_horner(r * np.exp(1j * thetas), d2))
     else:
         def integrand(r, thetas):
             w = (1.0 - r * r) ** (p - 2.0)
-            return w * np.abs(npoly.polyval(r * np.exp(1j * thetas), d1)) ** p
+            return w * np.abs(_horner(r * np.exp(1j * thetas), d1)) ** p
 
     trend = _disk_integral_partials(integrand, radii, f.band)
     return BesovReport(p, trend[-1], tuple(trend), radii, _classify(trend))

@@ -32,14 +32,16 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .errors import (DegenerateRoot, NoConvergence, NonIntegerError, RangeError,
                      TailError, WindingUndefined)
-from .symbols import _MAX_BAND, FourierSymbol, _eval_extension, _jacobian, _wirtinger
+from .symbols import (_MAX_BAND, FourierSymbol, _eval_extension, _horner, _jacobian,
+                      _wirtinger)
 
 _MAX_REFINE_PASSES = 48
 _MAX_CURVE_POINTS = 2 * _MAX_BAND
+_INT32 = np.iinfo(np.int32)
+_MAX_MASK_OFFSETS = 1 << 16  # (row, column) offsets the proximity mask tests per sample
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,13 @@ class GridSpec:
             raise RangeError("grid box must have positive extent")
         if self.nx < 1 or self.ny < 1:
             raise RangeError("grid resolution must be >= 1")
-        # finite bounds can still overflow their difference, and so hx and hy
-        if not np.all(np.isfinite((self.x1 - self.x0, self.y1 - self.y0))):
+        if not (self.hx > 0 and self.hy > 0):
+            raise RangeError("grid cells must have positive size")
+        # finite bounds can still overflow their difference, and so hx and hy,
+        # and finite cell sides their diagonal
+        with np.errstate(over="ignore"):
+            sizes = (self.x1 - self.x0, self.y1 - self.y0, self.cell_diag)
+        if not np.all(np.isfinite(sizes)):
             raise RangeError("grid extent and cell size must be finite")
 
     @property
@@ -98,11 +105,16 @@ class GridSpec:
         return GridSpec(self.x0, self.x1, self.y0, self.y1, 2 * self.nx, 2 * self.ny)
 
     def locate(self, w: complex):
-        """(row, col) of the cell containing w, or None if outside the box."""
-        i = int(np.floor((w.real - self.x0) / self.hx))
-        j = int(np.floor((w.imag - self.y0) / self.hy))
-        if 0 <= i < self.nx and 0 <= j < self.ny:
-            return j, i
+        """(row, col) of the cell containing w, or None if outside the box.
+
+        The cell coordinates are compared as floats before any conversion,
+        so a far, infinite or NaN w lies outside instead of overflowing.
+        """
+        w = complex(w)
+        u = (w.real - self.x0) / self.hx
+        v = (w.imag - self.y0) / self.hy
+        if 0 <= u < self.nx and 0 <= v < self.ny:
+            return int(v), int(u)
         return None
 
     def to_dict(self) -> dict:
@@ -144,21 +156,33 @@ class SampledCurve:
 
     @classmethod
     def from_symbol(cls, sym: FourierSymbol, r: float, n: int = 1024) -> "SampledCurve":
-        """Sample the curve of phi_r; r = 1 needs an exact finite-band symbol."""
+        """Sample the curve of phi_r; r = 1 needs an exact finite-band symbol.
+
+        Points beyond the float range are rejected as non-finite, by the
+        constructor and by `winding`, without a numpy warning.
+        """
         if not 0.0 < r <= 1.0:
             raise RangeError(f"curve radius must lie in (0,1], got {r}")
         if r == 1.0 and not sym.is_finite_band:
             raise TailError("r = 1 curves need an exact finite-band symbol")
 
         def evaluate(thetas):
-            return np.asarray(_eval_extension(sym, r * np.exp(1j * np.asarray(thetas))),
-                              dtype=complex)
+            with np.errstate(over="ignore", invalid="ignore"):
+                return np.asarray(_eval_extension(sym, r * np.exp(1j * np.asarray(thetas))),
+                                  dtype=complex)
 
         ang = np.arange(n) * (2 * np.pi / n)
         return cls(ang, evaluate(ang), evaluate)
 
     def refine_to_chord(self, target: float) -> "SampledCurve":
         """Uniformly double the sampling until every chord is below target.
+
+        Each doubling to n points evaluates only the odd angles k * 2 pi / n
+        and keeps the current points as the even ones: the even angles
+        2k * (2 pi / n) equal k * (2 pi / (n / 2)) exactly, since halving n
+        halves 2 pi / n exactly, and the evaluator works one angle at a time,
+        so the result is bit-identical to sampling all n angles afresh.  A
+        curve whose angles are not uniform is resampled at the even angles.
 
         Raises NonIntegerError when the chord target is out of reach: the
         curve cannot be refined, or doubling would pass _MAX_CURVE_POINTS.
@@ -176,7 +200,11 @@ class SampledCurve:
                     + ("" if curve.refinable else " and the curve is not refinable"))
             n = 2 * curve.angles.size
             ang = np.arange(n) * (2 * np.pi / n)
-            curve = SampledCurve(ang, curve.evaluator(ang), curve.evaluator)
+            pts = np.empty(n, dtype=complex)
+            pts[0::2] = (curve.points if np.array_equal(curve.angles, ang[0::2])
+                         else curve.evaluator(ang[0::2]))
+            pts[1::2] = curve.evaluator(ang[1::2])
+            curve = SampledCurve(ang, pts, curve.evaluator)
 
 
 def winding(curve: SampledCurve, lam: complex, eps: float) -> int:
@@ -185,16 +213,30 @@ def winding(curve: SampledCurve, lam: complex, eps: float) -> int:
     Segments are bisected until every argument increment is below pi/2;
     the accumulated total must land within 1e-6 of an integer.  If sampling
     comes within eps of lam the winding is declared undefined.
+
+    When some |pts - lam| reaches 2^1020, the quotients of the increments
+    could overflow, so the differences are taken again from pts and lam
+    scaled by 1/16, which brings every difference below 2^1021 and, being a
+    power of two, leaves the increments as they are.
     """
     if eps <= 0:
         raise RangeError("separation eps must be positive")
     ang = np.append(curve.angles, curve.angles[0] + 2 * np.pi)
     pts = np.append(curve.points, curve.points[0])
     for _ in range(_MAX_REFINE_PASSES):
-        if np.min(np.abs(pts - lam)) <= eps:
+        scale = 1.0
+        with np.errstate(over="ignore"):
+            rel = pts - lam
+            dist = np.abs(rel)
+        if not np.max(dist) < 2.0 ** 1020:
+            scale = 1.0 / 16
+            # scaled as floats: a complex product by scale would flip signed zeros
+            rel = ((pts.view(float) * scale).view(complex)
+                   - complex(lam.real * scale, lam.imag * scale))
+            dist = np.abs(rel)
+        if np.min(dist) <= eps * scale:
             raise WindingUndefined(
                 f"curve samples come within {eps:g} of lambda = {lam}")
-        rel = pts - lam
         inc = np.angle(rel[1:] / rel[:-1])
         bad = np.abs(inc) >= np.pi / 2
         if not bad.any():
@@ -210,6 +252,8 @@ def winding(curve: SampledCurve, lam: complex, eps: float) -> int:
         idx = np.flatnonzero(bad)
         mid = (ang[idx] + ang[idx + 1]) / 2
         vals = np.asarray(curve.evaluator(np.mod(mid, 2 * np.pi)), dtype=complex)
+        if not np.all(np.isfinite(vals.view(float))):
+            raise RangeError("curve points must be finite")
         ang = np.insert(ang, idx + 1, mid)
         pts = np.insert(pts, idx + 1, vals)
     raise NonIntegerError("bisection limit reached without resolving the curve")
@@ -225,6 +269,12 @@ class MultiplicityGrid:
     invalid cells (curve within eps of the center) carry no value and are
     stored as 0 with the mask set.  ``curve`` is the refined curve the raster
     was made from, if known.
+
+    Values are stored as int32, which holds every winding of a sampled
+    curve: |winding| is at most the edge count, and a curve has at most
+    _MAX_CURVE_POINTS = 2^18 edges.  An int32 array is kept as is; other
+    integer arrays are converted, and values outside the int32 range raise
+    RangeError instead of wrapping.
     """
 
     grid: GridSpec
@@ -235,7 +285,12 @@ class MultiplicityGrid:
     curve: SampledCurve | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.int64)
+        vals = np.asarray(self.values)
+        if vals.dtype != np.int32:
+            vals = np.asarray(vals, dtype=np.int64)
+            if vals.size and not (_INT32.min <= vals.min() and vals.max() <= _INT32.max):
+                raise RangeError("multiplicities must fit in int32")
+            vals = vals.astype(np.int32)
         mask = np.asarray(self.invalid, dtype=bool)
         shape = (self.grid.ny, self.grid.nx)
         if vals.shape != shape or mask.shape != shape:
@@ -266,6 +321,8 @@ def _polygon_windings(pts: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.nda
     orientation to a per-row difference array at the last cell center left
     of the crossing abscissa; a reverse cumulative sum along each row then
     gives the signed count of crossings strictly to the right of every center.
+    The raster is accumulated and returned in int32: no partial sum exceeds
+    the edge count, at most _MAX_CURVE_POINTS = 2^18.
     """
     x1, y1 = pts.real, pts.imag
     x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
@@ -280,36 +337,56 @@ def _polygon_windings(pts: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.nda
     # k centers lie strictly left of the crossing; k = 0 counts for none
     k = np.searchsorted(cx, xs, "left")
     right = k > 0
-    out = np.zeros((cy.size, cx.size), dtype=np.int64)
-    np.add.at(out, (row[right], k[right] - 1), np.where(y2 > y1, 1, -1)[edge[right]])
+    out = np.zeros((cy.size, cx.size), dtype=np.int32)
+    sign = np.where(y2 > y1, np.int32(1), np.int32(-1))
+    np.add.at(out, (row[right], k[right] - 1), sign[edge[right]])
     rev = out[:, ::-1]
-    np.cumsum(rev, axis=1, out=rev)
+    np.cumsum(rev, axis=1, dtype=np.int32, out=rev)
     return out
+
+
+def _mask_reach(eps: float, h: float, lo: float, hi: float) -> float:
+    """min(floor(eps / h + d), ceil(eps / h)), d the rounding margin of `_proximity_mask`."""
+    ratio = eps / h
+    d = 1e-6 + 2.0 ** -48 * (abs(lo) + abs(hi)) / h
+    return min(np.floor(ratio + d), np.ceil(ratio))
 
 
 def _proximity_mask(pts: np.ndarray, grid: GridSpec, eps: float) -> np.ndarray:
     """Cells whose center lies within eps of some curve sample.
 
     Each sample tests a fixed table of (row, column) offsets from the cell
-    center just below and left of it: with kx = ceil(eps / hx), column
-    offsets -kx .. kx + 1 (every center outside lies at least one cell width
-    beyond eps), and likewise for rows.  The squared distances along x and
-    along y are computed once per column and per row offset, and hits are
-    written into a flat array padded by the table's reach, so no offset needs
-    a bounds check; the padding is cropped at the end.
+    center just below and left of it, column offsets -kx .. kx + 1 with
+    kx = floor(eps / hx + d), and likewise for rows.  A sample lies a
+    fraction f in [0, 1) of a cell right of that center, so a center at
+    offset i is |i - f| cell widths from it: i < -eps / hx or i > 1 + eps / hx
+    is beyond eps.  The margin d = 1e-6 + 2^-48 (|x0| + |x1|) / hx covers
+    the rounding of the sample's cell coordinate and of the float centers,
+    so no offset left out holds a center that the float test would count as
+    within eps; kx never exceeds ceil(eps / hx).  The squared distances along
+    x and along y are computed once per column and per row offset, and hits
+    are written into a flat array padded by the table's reach, so no offset
+    needs a bounds check; the padding is cropped at the end.
 
     Every squared distance tested is at most 2 * (eps + 2 * cell width)^2.
     Raises RangeError when twice that overflows, since inf <= inf would mask
-    cells at any distance.
+    cells at any distance, and when the table would pass _MAX_MASK_OFFSETS
+    offsets, as it does for cells thousands of times longer than wide.
     """
     reach = eps + 2.0 * max(grid.hx, grid.hy)
     if not np.isfinite(4.0 * reach * reach):
         raise RangeError(f"squared distances overflow: eps {eps:g} and cell size"
                          f" {max(grid.hx, grid.hy):g} are too large for the proximity mask")
-    kx = int(np.ceil(eps / grid.hx))
-    ky = int(np.ceil(eps / grid.hy))
-    u = (pts.real - grid.x0) / grid.hx - 0.5
-    v = (pts.imag - grid.y0) / grid.hy - 0.5
+    kx = _mask_reach(eps, grid.hx, grid.x0, grid.x1)
+    ky = _mask_reach(eps, grid.hy, grid.y0, grid.y1)
+    offsets = (2 * kx + 2) * (2 * ky + 2)
+    if not offsets <= _MAX_MASK_OFFSETS:
+        raise RangeError(f"cells of {grid.hx:g} x {grid.hy:g} need {offsets:g} offsets per sample"
+                         f" for eps {eps:g}, above the {_MAX_MASK_OFFSETS} of the proximity mask")
+    kx, ky = int(kx), int(ky)
+    with np.errstate(over="ignore"):  # samples out of range are dropped by `near`
+        u = (pts.real - grid.x0) / grid.hx - 0.5
+        v = (pts.imag - grid.y0) / grid.hy - 0.5
     # samples whose offset window meets the grid
     near = (u >= -kx - 1) & (u < grid.nx + kx) & (v >= -ky - 1) & (v < grid.ny + ky)
     px, py = pts.real[near], pts.imag[near]
@@ -379,8 +456,8 @@ def _variation_bound(sym: FourierSymbol, c: np.ndarray, h: float, w: complex) ->
     """
     fa, fd, ga, gd = sym._split
     rho = np.abs(c) + _SQRT2 * h
-    lip = npoly.polyval(rho, np.abs(fd)) + npoly.polyval(rho, np.abs(gd))
-    size = npoly.polyval(rho, np.abs(fa)) + npoly.polyval(rho, np.abs(ga))
+    lip = _horner(rho, np.abs(fd)) + _horner(rho, np.abs(gd))
+    size = _horner(rho, np.abs(fa)) + _horner(rho, np.abs(ga))
     return _SQRT2 * h * lip + 1e-12 * (1 + abs(w) + size)
 
 

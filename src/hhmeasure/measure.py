@@ -26,7 +26,7 @@ import numpy as np
 
 from .degree import (GridSpec, MultiplicityGrid, SampledCurve, default_grid,
                      multiplicity_grid, winding)
-from .errors import MaskCoverageError, RangeError, WindingUndefined
+from .errors import MaskCoverageError, NonFiniteError, RangeError, WindingUndefined
 from .operators import _truncation, commutator_trace, schatten_norm, self_commutator
 from .poly import BivariatePolynomial, jacobian_bracket
 from .symbols import FourierSymbol
@@ -82,14 +82,18 @@ class MeasureDensity:
         """(extrapolated, coarse, fine) of (1/2 pi i) int weight(x, y) m dxdy.
 
         ``coarse_weight`` is weight already evaluated on the coarse mesh, for
-        callers that need those values too.
+        callers that need those values too.  A sum beyond the float range
+        raises NonFiniteError.
         """
         def midpoint(mg: MultiplicityGrid) -> complex:
             if mg is self.grid and coarse_weight is not None:
                 wvals = coarse_weight
             else:
                 wvals = weight(*mg.grid.mesh())
-            tot = float(np.sum(wvals * mg.values))
+            with np.errstate(over="ignore", invalid="ignore"):  # overflow shows below
+                tot = float(np.sum(wvals * mg.values))
+            if not np.isfinite(tot):
+                raise NonFiniteError(f"grid moment is not finite: {tot}")
             return complex(tot * mg.grid.cell_area / (2j * np.pi))
         return self._richardson(midpoint)
 

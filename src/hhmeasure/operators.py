@@ -50,9 +50,15 @@ class TruncatedMatrix:
 # -- matrix constructions -----------------------------------------------------
 
 def toeplitz_matrix(sym: FourierSymbol, n: int) -> TruncatedMatrix:
-    """T_phi truncation: entry(m, k) = c(m - k).  Entrywise exact."""
+    """T_phi truncation: entry(m, k) = c(m - k).  Entrywise exact.
+
+    A coefficient that overflowed, as the real or imaginary part of a symbol
+    near the float limit can, raises NonFiniteError.
+    """
     if n < 1:
         raise RangeError("dimension must be >= 1")
+    if not all(np.isfinite(c) for c in sym.coeffs.values()):
+        raise NonFiniteError("Toeplitz matrix of a symbol with non-finite coefficients")
     idx = np.arange(n)
     diff = idx[:, None] - idx[None, :]
     ent = np.zeros((n, n), dtype=complex)
@@ -83,6 +89,7 @@ def self_commutator(sym: FourierSymbol, n: int) -> TruncatedMatrix:
 
     entry(m, k) = sum_{l>=1} f(m+l) conj(f(k+l)) - g(m+l) conj(g(k+l)),
     a finite sum for finite band; entries vanish once max(m, k) >= band.
+    Entries beyond the float range raise NonFiniteError.
     """
     if n < 1:
         raise RangeError("dimension must be >= 1")
@@ -95,7 +102,10 @@ def self_commutator(sym: FourierSymbol, n: int) -> TruncatedMatrix:
     pad = np.zeros(2 * band, dtype=complex)
     af[:rows, :band] = np.concatenate((fa, pad))[idx]
     ag[:rows, :band] = np.concatenate((ga, pad))[idx]
-    ent = af @ af.conj().T - ag @ ag.conj().T
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow shows in the check below
+        ent = af @ af.conj().T - ag @ ag.conj().T
+    if not np.all(np.isfinite(ent.view(float))):
+        raise NonFiniteError("self-commutator entries overflow the float range")
     return TruncatedMatrix(n, ent, selfadjoint=True)
 
 

@@ -17,6 +17,7 @@ on first evaluation, and every evaluation, derivative and Jacobian reads them.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -25,7 +26,8 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import DomainError, RangeError, SampleCountError, SchemaError, TailError
+from .errors import (DomainError, NonFiniteError, RangeError, SampleCountError, SchemaError,
+                     TailError)
 
 _SYM_TOL = 1e-12  # tolerance for the real-valuedness check c(-k) == conj(c(k))
 # largest |k| a symbol file may hold: no curve of a larger band can be sampled
@@ -79,7 +81,8 @@ class FourierSymbol:
         The samples are phi(e^{i t_j}) at t_j = 2 pi j / n.  The discrete
         transform assigns the Nyquist frequency to +n/2, so the band is at
         most n/2 and re-evaluation at the sample angles reproduces the
-        inputs to machine accuracy.
+        inputs to machine accuracy.  Samples so large that their transform
+        overflows raise NonFiniteError.
         """
         values = np.asarray(values, dtype=complex)
         n = values.size
@@ -87,8 +90,12 @@ class FourierSymbol:
             raise SampleCountError(
                 f"need a 1-D power-of-two sample array with >= 4 points, got shape {values.shape}"
             )
-        spectrum = np.fft.fft(values) / n
-        tol = 1e-13 * max(1.0, float(np.max(np.abs(values))))
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows in the check below
+            spectrum = np.fft.fft(values) / n
+            size = float(np.max(np.abs(values)))
+        if not (np.isfinite(size) and np.all(np.isfinite(spectrum.view(float)))):
+            raise NonFiniteError("the transform of the samples overflows the float range")
+        tol = 1e-13 * max(1.0, size)
         coeffs = {}
         for j in range(n):
             k = j if j <= n // 2 else j - n
@@ -114,8 +121,11 @@ class FourierSymbol:
         return self.coeffs.get(k, 0j)
 
     def one_norm(self) -> float:
-        """Coefficient l^1 norm, a sup-norm proxy (excludes the tail bound)."""
-        return float(sum(abs(c) for c in self.coeffs.values()))
+        """Coefficient l^1 norm, a sup-norm proxy (excludes the tail bound); inf on overflow."""
+        try:
+            return float(sum(abs(c) for c in self.coeffs.values()))
+        except OverflowError:  # a modulus beyond the float range
+            return math.inf
 
     def describe(self) -> str:
         return f"symbol(band={self.band}, nnz={len(self.coeffs)}, tail={self.tail_bound:g})"
@@ -171,7 +181,9 @@ class FourierSymbol:
         place that assigns a coefficient to a half.  Built on first use and
         kept, which is sound because ``coeffs`` never changes after
         construction; the arrays are shared by every caller, so they are
-        read-only.
+        read-only.  A derivative coefficient k c(k) beyond the float range is
+        stored as it overflows, without a warning; the integrals that read
+        the derivatives check that their results are finite.
         """
         fa = np.zeros(max((k for k in self.coeffs if k >= 0), default=0) + 1, dtype=complex)
         ga = np.zeros(max((-k for k in self.coeffs if k < 0), default=0) + 1, dtype=complex)
@@ -180,7 +192,8 @@ class FourierSymbol:
                 fa[k] = c
             else:
                 ga[-k] = np.conj(c)
-        arrays = (fa, npoly.polyder(fa), ga, npoly.polyder(ga))
+        with np.errstate(over="ignore", invalid="ignore"):
+            arrays = (fa, npoly.polyder(fa), ga, npoly.polyder(ga))
         for a in arrays:
             a.flags.writeable = False
         return arrays
@@ -228,21 +241,35 @@ class FourierSymbol:
 
 # -- unchecked evaluation helpers (used by root iterations) --------------------
 
+def _horner(z, c):
+    """sum_k c[k] z^k by Horner's rule, updating one result array in place.
+
+    The same operations in the same order as ``npoly.polyval(z, c)``, so
+    the result is bit-identical, without a temporary per coefficient; c is a
+    non-empty float or complex array, z a scalar or an array.
+    """
+    out = c[-1] + z * 0
+    for a in c[-2::-1]:
+        out *= z
+        out += a
+    return out
+
+
 def _eval_extension(sym: FourierSymbol, z):
     """F(z) + conj(G(z)); valid for any z since both halves are polynomials."""
     fa, _, gb, _ = sym._split
-    out = npoly.polyval(z, fa)
+    out = _horner(z, fa)
     if gb.size > 1:
-        out = out + np.conj(npoly.polyval(z, gb))
+        out += np.conj(_horner(z, gb))
     return out
 
 
 def _wirtinger(sym: FourierSymbol, z):
     """(dPhi/dz, dPhi/dzbar) without domain checks."""
     fa, fd, gb, gd = sym._split
-    dz = npoly.polyval(z, fd) if fa.size > 1 else np.zeros_like(np.asarray(z))
+    dz = _horner(z, fd) if fa.size > 1 else np.zeros_like(np.asarray(z))
     if gb.size > 1:
-        dzbar = np.conj(npoly.polyval(z, gd))
+        dzbar = np.conj(_horner(z, gd))
     else:
         dzbar = np.zeros_like(np.asarray(z))
     return dz, dzbar

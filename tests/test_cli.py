@@ -290,7 +290,23 @@ class TestWinding:
         assert json.loads(err)["code"] == "numerical"
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_far_point_winds_zero(self, capsys, shift_symbol):
+        code, out, err = run_cli(capsys, "winding", "--symbol", shift_symbol,
+                                 "--point=1e308,1e308", "--point=-1.7e308,1e-300")
+        assert (code, err) == (0, "")
+        assert [row["winding"] for row in strict_json(out)["rows"]] == [0, 0]
+
+
 class TestIndexCheck:
+    @pytest.mark.filterwarnings("error")
+    def test_point_far_outside_the_box_exits_3(self, capsys, shift_symbol):
+        code, out, err = run_cli(capsys, "index-check", "--symbol", shift_symbol,
+                                 "--grid=-1.5,1.5,-1.5,1.5,20,20", "--point=1e308,1e308")
+        assert (code, out) == (3, "")
+        diagnostic = strict_json(err)
+        assert (diagnostic["code"], diagnostic["error"]) == ("numerical", "WindingUndefined")
+
     def test_sampled_points(self, capsys, shift_symbol):
         code, out, _ = run_cli(capsys, "index-check", "--symbol", shift_symbol,
                                "--grid=-1.5,1.5,-1.5,1.5,120,120",

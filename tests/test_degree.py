@@ -54,6 +54,22 @@ class TestWinding:
         with pytest.raises(WindingUndefined):
             winding(curve, 1.0, 1e-3)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam, expected", [
+        (complex(1e308, 1e308), 0), (complex(-1.7e308, 1.7e308), 0), (complex(0, -1e300), 0),
+    ])
+    def test_far_point(self, lam, expected):
+        curve = SampledCurve.from_symbol(SHIFT, 1.0)
+        assert winding(curve, lam, 1e-8) == expected
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam, expected", [
+        (0.0, 1), (complex(1e307, 0), 1), (complex(-1.7e308, 0), 0), (complex(0, 1.7e308), 0),
+    ])
+    def test_curve_near_the_float_range(self, lam, expected):
+        curve = SampledCurve.from_symbol(FourierSymbol({1: 1.2e308}), 1.0)
+        assert winding(curve, lam, 1e-8) == expected
+
     def test_unrefinable_curve_under_resolution(self):
         ang = np.arange(3) * 2 * np.pi / 3
         curve = SampledCurve(ang, np.exp(1j * ang))  # no evaluator
@@ -223,6 +239,51 @@ class TestRasterKernels:
                         0.4 + 1.27j, -0.2 - 1.26j, 0.01 + 0.02j])
         assert np.array_equal(_proximity_mask(pts, grid, eps), brute_force_mask(pts, grid, eps))
 
+    @pytest.mark.parametrize("grid, eps", [
+        # square cells: a 6 x 6 offset table where ceil gave 8 x 8
+        (GridSpec(-1.0, 1.0, -1.0, 1.0, 16, 16), 2.0 * GridSpec(-1, 1, -1, 1, 16, 16).cell_diag),
+        # eps / hx and eps / hy exact integers
+        (GridSpec(0.0, 2.0, 0.0, 1.0, 16, 16), 0.25),
+        (GridSpec(-1.0, 1.0, -3.0, 3.0, 8, 48), 0.5),
+        # eps / hx an integer, eps / hy not, and the reverse
+        (GridSpec(-1.0, 1.0, -1.0, 1.0, 16, 10), 0.375),
+        (GridSpec(-1.0, 1.0, -1.0, 1.0, 10, 16), 0.375),
+        # wide and tall cells
+        (GridSpec(-1.0, 1.0, -0.25, 0.25, 10, 80), 0.15),
+        (GridSpec(-0.25, 0.25, -1.0, 1.0, 80, 10), 0.15),
+        # boxes far from the origin, where the centers carry rounding
+        (GridSpec(1e6, 1e6 + 2.0, -1e6 - 1.0, -1e6 + 1.0, 16, 16), 0.25),
+        (GridSpec(1e8, 1e8 + 2e-3, 3e8, 3e8 + 2e-3, 24, 24), 2.5e-4),
+        (GridSpec(1e8, 1e8 + 2e-3, 3e8, 3e8 + 2e-3, 24, 24), 2.99999 * 1e-3 / 12),
+        (GridSpec(-7e15, -7e15 + 64.0, 5e15, 5e15 + 48.0, 16, 12), 8.0),
+    ])
+    def test_mask_matches_all_pairs_on_offset_edges(self, grid, eps):
+        """Samples exactly eps from a center along an axis, and on cell corners."""
+        rng = np.random.default_rng(17)
+        cx, cy = grid.centers_x(), grid.centers_y()
+        steps = np.array([eps, -eps, 0, 0, 0.5 * grid.hx, -0.5 * grid.hx]) + 1j * np.array(
+            [0, 0, eps, -eps, 0.5 * grid.hy, -0.5 * grid.hy])
+        for _ in range(40):
+            i, j = rng.integers(grid.nx, size=6), rng.integers(grid.ny, size=6)
+            step = rng.choice(steps, 6)
+            pts = (cx[i] + step.real) + 1j * (cy[j] + step.imag)
+            got = _proximity_mask(pts, grid, eps)
+            assert np.array_equal(got, brute_force_mask(pts, grid, eps))
+            assert not got.all()
+
+    def test_mask_table_tight_for_square_cells(self):
+        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 16, 16)
+        eps = 2.0 * grid.cell_diag  # 2 sqrt(2) = 2.83 cells
+        assert degree._mask_reach(eps, grid.hx, grid.x0, grid.x1) == 2
+        assert degree._mask_reach(2.0 * grid.hx, grid.hx, grid.x0, grid.x1) == 2
+
+    def test_mask_rejects_elongated_cells(self):
+        # eps = 2 cell diagonals spans 2e4 cell widths: about 4e4 x 6 offsets, past the budget
+        grid = GridSpec(-1.0, 1.0, -1e4, 1e4, 20, 20)
+        pts = np.array([0.0, 1.0, 1j])
+        with pytest.raises(RangeError, match="offsets"):
+            _proximity_mask(pts, grid, 2.0 * grid.cell_diag)
+
     @pytest.mark.filterwarnings("error")
     def test_mask_rejects_overflowing_distances(self):
         # squared distances of 1e199-sized cells overflow, and inf <= inf would mask them all
@@ -253,6 +314,36 @@ class TestChordCap:
             curve.refine_to_chord(0.1)
 
 
+class TestRefineToChord:
+    """Doubling keeps the current samples as the even ones, bit for bit."""
+
+    @pytest.mark.parametrize("band", [1, 2, 3, 16, 64])
+    @pytest.mark.parametrize("r", [0.9, 0.99, 1.0])
+    def test_equals_fresh_sampling(self, band, r):
+        sym = random_symbol(np.random.default_rng(band), band)
+        curve = SampledCurve.from_symbol(sym, r, 256)
+        closed = np.append(curve.points, curve.points[0])
+        refined = curve.refine_to_chord(float(np.max(np.abs(np.diff(closed)))) / 20)
+        assert refined.points.size >= 256 * 16
+        fresh = SampledCurve.from_symbol(sym, r, refined.points.size)
+        assert np.array_equal(refined.angles.view(np.uint64), fresh.angles.view(np.uint64))
+        assert np.array_equal(refined.points.view(np.uint64), fresh.points.view(np.uint64))
+
+    def test_odd_start_count(self):
+        sym = random_symbol(np.random.default_rng(3), 3)
+        refined = SampledCurve.from_symbol(sym, 0.95, 100).refine_to_chord(1e-3)
+        fresh = SampledCurve.from_symbol(sym, 0.95, refined.points.size)
+        assert np.array_equal(refined.points.view(np.uint64), fresh.points.view(np.uint64))
+
+    def test_non_uniform_curve_is_resampled(self):
+        ang = np.sort(np.random.default_rng(4).uniform(0, 2 * np.pi, 50))
+        evaluate = lambda t: np.exp(1j * np.asarray(t))
+        refined = SampledCurve(ang, evaluate(ang), evaluate).refine_to_chord(0.01)
+        uniform = np.arange(refined.points.size) * (2 * np.pi / refined.points.size)
+        assert np.array_equal(refined.angles, uniform)
+        assert np.array_equal(refined.points, evaluate(uniform))
+
+
 class TestMaskedCellsStoreZero:
     def test_grid_stores_zero_on_masked_cells(self):
         mg = multiplicity_grid(SHIFT, 1.0, GridSpec(-1.5, 1.5, -1.5, 1.5, 40, 40))
@@ -265,6 +356,31 @@ class TestMaskedCellsStoreZero:
         with pytest.raises(RangeError, match="invalid cells"):
             MultiplicityGrid(grid, np.ones((2, 2)), invalid, 0.1, 8)
         MultiplicityGrid(grid, np.array([[0, 1], [1, 1]]), invalid, 0.1, 8)
+
+
+class TestInt32Raster:
+    GRID = GridSpec(0, 1, 0, 1, 2, 2)
+    VALID = np.zeros((2, 2), dtype=bool)
+
+    def test_raster_is_int32(self):
+        mg = multiplicity_grid(SHIFT, 1.0, GridSpec(-1.5, 1.5, -1.5, 1.5, 20, 20))
+        assert mg.values.dtype == np.int32
+
+    def test_int32_values_kept_without_copy(self):
+        values = np.array([[0, 1], [-2, 3]], dtype=np.int32)
+        assert MultiplicityGrid(self.GRID, values, self.VALID, 0.1, 8).values is values
+
+    def test_wider_integers_converted(self):
+        values = np.array([[0, 2 ** 31 - 1], [-2 ** 31, 3]], dtype=np.int64)
+        mg = MultiplicityGrid(self.GRID, values, self.VALID, 0.1, 8)
+        assert mg.values.dtype == np.int32
+        assert np.array_equal(mg.values, values)
+
+    @pytest.mark.parametrize("big", [2 ** 31, -2 ** 31 - 1, 2 ** 40])
+    def test_out_of_range_rejected(self, big):
+        values = np.array([[0, 0], [big, 0]], dtype=np.int64)
+        with pytest.raises(RangeError, match="int32"):
+            MultiplicityGrid(self.GRID, values, self.VALID, 0.1, 8)
 
 
 class TestCoarseCurveReuse:
@@ -486,6 +602,13 @@ class TestGridSpec:
         assert g.locate(0.9 + 0.9j) == (3, 3)
         assert g.locate(2.0) is None
 
+    @pytest.mark.parametrize("w", [complex(1e308, 1e308), complex(-1e308, 0.0),
+                                   complex(0.0, 1.7e308), complex(np.inf, 0.0),
+                                   complex(0.0, -np.inf), complex(np.nan, 0.0)])
+    def test_locate_far_or_non_finite(self, w):
+        assert GridSpec(-1, 1, -1, 1, 4, 4).locate(w) is None
+        assert GridSpec(-1e-300, 1e-300, -1e-300, 1e-300, 4, 4).locate(w) is None
+
     def test_validation(self):
         with pytest.raises(RangeError):
             GridSpec(1, 0, 0, 1, 4, 4)
@@ -496,6 +619,15 @@ class TestGridSpec:
     def test_non_finite_bounds(self, bounds):
         with pytest.raises(RangeError, match="finite"):
             GridSpec(*bounds, 4, 4)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bounds, n", [
+        ((0.0, 5e-324, 0.0, 1.0), 2),             # cells narrower than the least float
+        ((0.0, 1.7e308, 0.0, 1.7e308), 1),        # a cell diagonal beyond the float range
+    ])
+    def test_cell_size(self, bounds, n):
+        with pytest.raises(RangeError, match="cell"):
+            GridSpec(*bounds, n, n)
 
     @pytest.mark.parametrize("bounds", [(-1e308, 1e308, -1, 1), (-1, 1, -1.5e308, 1e308)])
     def test_overflowing_extent(self, bounds):

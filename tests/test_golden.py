@@ -170,7 +170,9 @@ RASTERS = {
     "conj": (FourierSymbol(SYMBOLS["conj"]), 1.0),
 }
 
-# sha256 of values.tobytes() + invalid.tobytes() of the (coarse, fine) grids
+# sha256 of values.tobytes() + invalid.tobytes() of the (coarse, fine) grids,
+# with the values widened to int64 so that the digest pins the integers, not
+# the storage type
 RASTER_DIGESTS = {
     "band2": ("a1686d571fbd5aa5bf8c50a714e9bb9d485239d0f300699b2d8a6e16de9a182e",
               "7d1c80e490dcacb0ea4cb9cf566e249f27340479339ef9483d4ec93d68173480"),
@@ -185,7 +187,8 @@ RASTER_DIGESTS = {
 def test_raster_digest(name):
     sym, r = RASTERS[name]
     density = hh_density(sym, r, default_grid(sym, 200))
-    digests = tuple(hashlib.sha256(mg.values.tobytes() + mg.invalid.tobytes()).hexdigest()
+    digests = tuple(hashlib.sha256(mg.values.astype(np.int64).tobytes()
+                                   + mg.invalid.tobytes()).hexdigest()
                     for mg in (density.grid, density.fine))
     assert digests == RASTER_DIGESTS[name]
 

@@ -4,7 +4,7 @@ import pytest
 from hhmeasure import FourierSymbol
 from hhmeasure import measure
 from hhmeasure.degree import GridSpec, default_grid
-from hhmeasure.errors import RangeError, WindingUndefined
+from hhmeasure.errors import NonFiniteError, RangeError, WindingUndefined
 from hhmeasure.measure import (brown_bound_check, hh_density, index_check,
                                smoothing_limit_probe, total_variation,
                                trace_formula_check)
@@ -127,6 +127,13 @@ class TestTraceFormula:
         doc = rep.to_dict()
         assert set(doc) == {"lhs", "rhs", "abs_err", "quad_err", "N", "grid",
                             "masked_area_fraction", "tail_bound"}
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_weight_raises(self):
+        density = hh_density(FourierSymbol({2: 1.0}), 0.9, GridSpec(-2, 2, -2, 2, 8, 8))
+        with pytest.raises(NonFiniteError):
+            density.moment(lambda x, y: np.full_like(x, np.inf))
 
 
 class TestTotalVariation:

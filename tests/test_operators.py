@@ -275,6 +275,21 @@ class TestWeakConvergenceProbe:
         assert errs[0] > errs[1] > errs[2]
 
 
+class TestOverflow:
+    """Coefficients near the float limit raise NonFiniteError, without a warning."""
+
+    @pytest.mark.filterwarnings("error")
+    def test_toeplitz_of_overflowing_real_part(self):
+        sym = FourierSymbol({1: 1.7e308, -1: 1.7e308})  # Re(phi) has c(1) = inf
+        with pytest.raises(NonFiniteError):
+            commutator_trace(sym, P.x(), P.y())
+
+    @pytest.mark.filterwarnings("error")
+    def test_self_commutator_entries(self):
+        with pytest.raises(NonFiniteError):
+            self_commutator(FourierSymbol({1: 1e200, 2: 1e200}), 2)
+
+
 class TestTruncatedMatrix:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 from hhmeasure import FourierSymbol, load_symbol_spec
-from hhmeasure.errors import (DomainError, RangeError, SampleCountError,
+from hhmeasure.errors import (DomainError, NonFiniteError, RangeError, SampleCountError,
                               SchemaError, TailError)
+from hhmeasure.symbols import _horner
 
 from conftest import random_symbol
 
@@ -71,6 +73,41 @@ class TestPoissonSmooth:
         once = sym.poisson_smooth(r * s)
         for k in twice.coeffs:
             assert twice.coeff(k) == pytest.approx(once.coeff(k), abs=1e-14)
+
+
+def same_bits(a, b) -> bool:
+    """Equal dtype, shape and bit pattern, signed zeros and NaN payloads included."""
+    a, b = np.atleast_1d(a), np.atleast_1d(b)
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a.view(np.uint64), b.view(np.uint64)))
+
+
+class TestHorner:
+    """`_horner` repeats npoly.polyval's operations in place, so every bit agrees."""
+
+    SPECIAL = np.array([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-300, 1e300])
+
+    def inputs(self, rng):
+        yield rng.standard_normal(257)
+        yield 0.97 * np.exp(2j * np.pi * rng.random(257))
+        yield self.SPECIAL
+        yield (self.SPECIAL[:, None] + 1j * self.SPECIAL).ravel()
+        yield from (0.3, -0.0, 2, 0.6 - 0.8j, complex(-0.0, 0.0), np.float64(-0.0))
+
+    @pytest.mark.parametrize("degree", range(65))
+    @pytest.mark.parametrize("kind", [float, complex])
+    def test_matches_polyval(self, degree, kind):
+        rng = np.random.default_rng(degree)
+        c = rng.standard_normal(degree + 1)
+        if kind is complex:
+            c = c + 1j * rng.standard_normal(degree + 1)
+        c[rng.random(degree + 1) < 0.2] = 0.0
+        c[rng.random(degree + 1) < 0.2] *= -0.0  # signed zero coefficients
+        for z in self.inputs(rng):
+            with np.errstate(all="ignore"):
+                expected = npoly.polyval(z, c)
+                got = _horner(z, c)
+            assert same_bits(got, expected), (degree, z)
 
 
 class TestHarmonicEval:
@@ -216,6 +253,23 @@ class TestSymbolSpecFiles:
         sym = load_symbol_spec({"type": "finite_band",
                                 "coeffs": [{"k": -2 ** 17, "re": 1.0, "im": 0.0}]})
         assert sym.band == 2 ** 17
+
+    @pytest.mark.filterwarnings("error")
+    def test_samples_whose_transform_overflows(self):
+        with pytest.raises(NonFiniteError):
+            load_symbol_spec({"type": "samples",
+                              "values": [[1.7e308, 0.0], [1.7e308, 0.0], [0.0, 0.0], [0.0, 0.0]]})
+
+    @pytest.mark.filterwarnings("error")
+    def test_derivatives_near_the_float_limit(self):
+        sym = FourierSymbol({3: 1e308, -2: 1e308})
+        fa, fd, ga, gd = sym._split
+        assert np.isinf(fd[2]) and np.isinf(gd[1])
+        assert np.isfinite(sym.harmonic_eval(0.5))
+
+    def test_one_norm_overflow_is_inf(self):
+        assert FourierSymbol({1: 1.7e308 + 1.7e308j}).one_norm() == np.inf
+        assert FourierSymbol({1: 3 + 4j, -2: 1.0}).one_norm() == 6.0
 
     def test_sample_count_error(self):
         with pytest.raises(SampleCountError):

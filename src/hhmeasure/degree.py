@@ -1,6 +1,8 @@
 """Winding numbers and signed multiplicity grids of symbol curves.
 
-Two independent routes to the same integers:
+A `SampledCurve` is phi_r(e^{it}) of one symbol and radius at n uniform
+angles; its `evaluate` samples the start curve, the chord refinement and the
+bisection in `winding`.  Two independent routes lead to the same integers:
 
 * `winding` accumulates argument increments along an adaptively refined
   curve (the classical argument principle), one query point at a time.
@@ -29,12 +31,12 @@ their inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (DegenerateRoot, NoConvergence, NonIntegerError, RangeError,
-                     TailError, WindingUndefined)
+from .errors import (DegenerateRoot, NoConvergence, NonFiniteError, NonIntegerError,
+                     RangeError, TailError, WindingUndefined)
 from .symbols import (_MAX_BAND, FourierSymbol, _eval_extension, _horner, _jacobian,
                       _wirtinger)
 
@@ -87,10 +89,6 @@ class GridSpec:
     def cell_area(self) -> float:
         return self.hx * self.hy
 
-    @property
-    def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
     def centers_x(self) -> np.ndarray:
         return self.x0 + (np.arange(self.nx) + 0.5) * self.hx
 
@@ -132,47 +130,45 @@ def default_grid(sym: FourierSymbol, n: int = 400) -> GridSpec:
 
 @dataclass(frozen=True)
 class SampledCurve:
-    """Closed curve phi_r(e^{it}) sampled on a strictly increasing angle grid."""
+    """The curve phi_r(e^{it}) of sym, sampled at the n uniform angles 2 pi k / n.
 
-    angles: np.ndarray
+    The constructor is the one place that checks 0 < r <= 1 and, at r = 1,
+    an exact finite-band symbol.  Points beyond the float range are rejected
+    as non-finite, here and by `winding`, without a numpy warning.
+    """
+
+    sym: FourierSymbol
+    r: float
     points: np.ndarray
-    evaluator: Callable | None = None
 
     def __post_init__(self):
-        ang = np.asarray(self.angles, dtype=float)
+        if not 0.0 < self.r <= 1.0:
+            raise RangeError(f"curve radius must lie in (0,1], got {self.r}")
+        if self.r == 1.0 and not self.sym.is_finite_band:
+            raise TailError("r = 1 curves need an exact finite-band symbol")
         pts = np.asarray(self.points, dtype=complex)
-        if ang.ndim != 1 or ang.shape != pts.shape or ang.size < 3:
-            raise RangeError("curve needs matching 1-D angle/point arrays with >= 3 samples")
-        if np.any(np.diff(ang) <= 0) or ang[0] < 0 or ang[-1] >= 2 * np.pi:
-            raise RangeError("angles must be strictly increasing inside [0, 2*pi)")
+        if pts.ndim != 1 or pts.size < 3:
+            raise RangeError("curve needs a 1-D point array with >= 3 samples")
         if not np.all(np.isfinite(pts.view(float))):
             raise RangeError("curve points must be finite")
-        object.__setattr__(self, "angles", ang)
         object.__setattr__(self, "points", pts)
 
-    @property
-    def refinable(self) -> bool:
-        return self.evaluator is not None
+    @cached_property
+    def angles(self) -> np.ndarray:
+        n = self.points.size
+        return np.arange(n) * (2 * np.pi / n)
+
+    def evaluate(self, thetas) -> np.ndarray:
+        """phi_r(e^{i theta}) at each angle, computed alone; overflow gives inf or nan, unwarned."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.asarray(_eval_extension(self.sym, self.r * np.exp(1j * np.asarray(thetas))),
+                              dtype=complex)
 
     @classmethod
     def from_symbol(cls, sym: FourierSymbol, r: float, n: int = 1024) -> "SampledCurve":
-        """Sample the curve of phi_r; r = 1 needs an exact finite-band symbol.
-
-        Points beyond the float range are rejected as non-finite, by the
-        constructor and by `winding`, without a numpy warning.
-        """
-        if not 0.0 < r <= 1.0:
-            raise RangeError(f"curve radius must lie in (0,1], got {r}")
-        if r == 1.0 and not sym.is_finite_band:
-            raise TailError("r = 1 curves need an exact finite-band symbol")
-
-        def evaluate(thetas):
-            with np.errstate(over="ignore", invalid="ignore"):
-                return np.asarray(_eval_extension(sym, r * np.exp(1j * np.asarray(thetas))),
-                                  dtype=complex)
-
-        ang = np.arange(n) * (2 * np.pi / n)
-        return cls(ang, evaluate(ang), evaluate)
+        """Sample the curve of phi_r at n uniform angles."""
+        blank = cls(sym, r, np.zeros(n, dtype=complex))  # checks sym and r before sampling
+        return cls(sym, r, blank.evaluate(blank.angles))
 
     def refine_to_chord(self, target: float) -> "SampledCurve":
         """Uniformly double the sampling until every chord is below target.
@@ -180,39 +176,40 @@ class SampledCurve:
         Each doubling to n points evaluates only the odd angles k * 2 pi / n
         and keeps the current points as the even ones: the even angles
         2k * (2 pi / n) equal k * (2 pi / (n / 2)) exactly, since halving n
-        halves 2 pi / n exactly, and the evaluator works one angle at a time,
-        so the result is bit-identical to sampling all n angles afresh.  A
-        curve whose angles are not uniform is resampled at the even angles.
+        halves 2 pi / n exactly, and `evaluate` works one angle at a time,
+        so the result is bit-identical to sampling all n angles afresh.
 
-        Raises NonIntegerError when the chord target is out of reach: the
-        curve cannot be refined, or doubling would pass _MAX_CURVE_POINTS.
+        A doubling splits each chord into two of total length at least its
+        own, so it at most halves the longest chord.  NonIntegerError is
+        raised at once when the chord exceeds 2^d (1 + 1e-9) times the target,
+        d the doublings left before _MAX_CURVE_POINTS (the margin covers the
+        rounding of the lengths), and when the cap is reached.
         """
         curve = self
         while True:
+            n = curve.points.size
             closed = np.append(curve.points, curve.points[0])
             chord = float(np.max(np.abs(np.diff(closed))))
             if chord <= target:
                 return curve
-            if not curve.refinable or curve.points.size >= _MAX_CURVE_POINTS:
+            left = (-(-_MAX_CURVE_POINTS // n) - 1).bit_length()  # ceil(log2(cap / n))
+            if left == 0 or chord > target * 2.0 ** left * (1 + 1e-9):
                 raise NonIntegerError(
                     f"curve under-resolved: max chord {chord:g} above target {target:g}"
-                    f" at {curve.points.size} points"
-                    + ("" if curve.refinable else " and the curve is not refinable"))
-            n = 2 * curve.angles.size
-            ang = np.arange(n) * (2 * np.pi / n)
-            pts = np.empty(n, dtype=complex)
-            pts[0::2] = (curve.points if np.array_equal(curve.angles, ang[0::2])
-                         else curve.evaluator(ang[0::2]))
-            pts[1::2] = curve.evaluator(ang[1::2])
-            curve = SampledCurve(ang, pts, curve.evaluator)
+                    f" at {n} points")
+            pts = np.empty(2 * n, dtype=complex)
+            pts[0::2] = curve.points
+            pts[1::2] = curve.evaluate(np.arange(1, 2 * n, 2) * (2 * np.pi / (2 * n)))
+            curve = SampledCurve(curve.sym, curve.r, pts)
 
 
 def winding(curve: SampledCurve, lam: complex, eps: float) -> int:
     """Winding number of the curve around lam by argument accumulation.
 
-    Segments are bisected until every argument increment is below pi/2;
-    the accumulated total must land within 1e-6 of an integer.  If sampling
-    comes within eps of lam the winding is declared undefined.
+    Segments are bisected until every argument increment is below pi/2,
+    at most up to _MAX_CURVE_POINTS samples; the accumulated total must
+    land within 1e-6 of an integer.  If sampling comes within eps of lam the
+    winding is declared undefined.
 
     When some |pts - lam| reaches 2^1020, the quotients of the increments
     could overflow, so the differences are taken again from pts and lam
@@ -221,7 +218,7 @@ def winding(curve: SampledCurve, lam: complex, eps: float) -> int:
     """
     if eps <= 0:
         raise RangeError("separation eps must be positive")
-    ang = np.append(curve.angles, curve.angles[0] + 2 * np.pi)
+    ang = np.append(curve.angles, 2 * np.pi)
     pts = np.append(curve.points, curve.points[0])
     for _ in range(_MAX_REFINE_PASSES):
         scale = 1.0
@@ -247,11 +244,12 @@ def winding(curve: SampledCurve, lam: complex, eps: float) -> int:
                 raise NonIntegerError(
                     f"winding total {w} is not within 1e-6 of an integer")
             return int(nearest)
-        if not curve.refinable or pts.size > _MAX_CURVE_POINTS:
-            raise NonIntegerError("curve under-resolved and not refinable")
+        if pts.size > _MAX_CURVE_POINTS:
+            raise NonIntegerError(f"curve under-resolved: bisection passed"
+                                  f" {_MAX_CURVE_POINTS} points around lambda = {lam}")
         idx = np.flatnonzero(bad)
         mid = (ang[idx] + ang[idx + 1]) / 2
-        vals = np.asarray(curve.evaluator(np.mod(mid, 2 * np.pi)), dtype=complex)
+        vals = curve.evaluate(np.mod(mid, 2 * np.pi))
         if not np.all(np.isfinite(vals.view(float))):
             raise RangeError("curve points must be finite")
         ang = np.insert(ang, idx + 1, mid)
@@ -268,7 +266,8 @@ class MultiplicityGrid:
     ``values[j, i]`` belongs to the cell center (centers_x[i], centers_y[j]);
     invalid cells (curve within eps of the center) carry no value and are
     stored as 0 with the mask set.  ``curve`` is the refined curve the raster
-    was made from, if known.
+    was made from; eps, twice the cell diagonal, and the curve's point count
+    are derived from the grid and the curve.
 
     Values are stored as int32, which holds every winding of a sampled
     curve: |winding| is at most the edge count, and a curve has at most
@@ -280,9 +279,7 @@ class MultiplicityGrid:
     grid: GridSpec
     values: np.ndarray
     invalid: np.ndarray
-    eps: float
-    curve_points: int
-    curve: SampledCurve | None = field(default=None, repr=False, compare=False)
+    curve: SampledCurve = field(repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values)
@@ -299,6 +296,14 @@ class MultiplicityGrid:
             raise RangeError("invalid cells must store the value 0")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "invalid", mask)
+
+    @cached_property
+    def eps(self) -> float:
+        return 2.0 * self.grid.cell_diag
+
+    @property
+    def curve_points(self) -> int:
+        return self.curve.points.size
 
     @property
     def masked_area_fraction(self) -> float:
@@ -419,19 +424,14 @@ def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec,
     every chord is below a quarter of the smaller cell side; ``curve``, if
     given, is the sampling of phi_r to start the refinement from.
     """
-    if not 0.0 < r <= 1.0:
-        raise RangeError(f"radius must lie in (0,1], got {r}")
-    if r == 1.0 and not sym.is_finite_band:
-        raise TailError("m_Phi at r = 1 needs an exact finite-band symbol")
-    eps = 2.0 * grid.cell_diag
     if curve is None:
         curve = SampledCurve.from_symbol(sym, r)
     curve = curve.refine_to_chord(min(grid.hx, grid.hy) / 4.0)
     pts = curve.points
     values = _polygon_windings(pts, grid.centers_x(), grid.centers_y())
-    invalid = _proximity_mask(pts, grid, eps)
+    invalid = _proximity_mask(pts, grid, 2.0 * grid.cell_diag)
     values[invalid] = 0
-    return MultiplicityGrid(grid, values, invalid, eps, pts.size, curve)
+    return MultiplicityGrid(grid, values, invalid, curve)
 
 
 # -- preimage counting oracle ----------------------------------------------------------
@@ -541,23 +541,33 @@ def preimage_multiplicity(sym: FourierSymbol, r: float, w: complex) -> int:
     solutions (Bezout; Wilmshurst 1998), so a larger root set raises
     DegenerateRoot, as does a root with |J| below 1e-8.  This is the
     independent oracle for `multiplicity_grid`.
+
+    A bound or a Newton step past the float range proves nothing, so a
+    non-finite w or coefficient of F, F', G, G' raises NonFiniteError, and
+    so does every overflow or invalid operation, with no numpy warning.
     """
     if not 0.0 < r <= 1.0:
         raise RangeError(f"radius must lie in (0,1], got {r}")
     if not sym.is_finite_band:
         raise TailError("preimage counting needs an exact finite-band symbol")
-    starts = _quadtree_starts(sym, r, w)
-    if starts is None:
-        return 0
-    fa, _, ga, _ = sym._split
-    cap = (max(fa.size, ga.size) - 1) ** 2
-    coarse, roots = (_newton_roots(sym, r, w, z, cap) for z in starts)
+    if not (np.isfinite(w) and all(np.isfinite(a).all() for a in sym._split)):
+        raise NonFiniteError(f"w = {w} or a coefficient of Phi or Phi' is not finite")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            starts = _quadtree_starts(sym, r, w)
+            if starts is None:
+                return 0
+            fa, _, ga, _ = sym._split
+            cap = (max(fa.size, ga.size) - 1) ** 2
+            coarse, roots = (_newton_roots(sym, r, w, z, cap) for z in starts)
+            jacs = [float(_jacobian(sym, root)) for root in roots]
+    except FloatingPointError as exc:
+        raise NonFiniteError(f"Phi overflows the float range while counting w = {w}") from exc
     if not _match_roots(coarse, roots):
         raise NoConvergence(f"root sets at w = {w} differ between quadtree levels"
                             f" {_DEPTH - 1} and {_DEPTH}")
     total = 0
-    for root in roots:
-        jac = float(_jacobian(sym, root))
+    for root, jac in zip(roots, jacs):
         if abs(jac) < _JTOL:
             raise DegenerateRoot(f"|J| = {abs(jac):g} below tolerance at root {root}")
         total += 1 if jac > 0 else -1

@@ -109,13 +109,6 @@ def perturbation_family_norm(spec: WeightedShiftSpec, k: int):
     return closed, matrix_value
 
 
-def shift_commutator_diagonal(spec: WeightedShiftSpec) -> dict:
-    """Diagonal entries alpha_n^2 - alpha_{n-1}^2 of [W*, W], window-supported."""
-    return {n: spec.weight(n) ** 2 - spec.weight(n - 1) ** 2
-            for n in range(-spec.window - 1, spec.window + 2)
-            if spec.weight(n) != spec.weight(n - 1)}
-
-
 # -- Cesaro operator ---------------------------------------------------------------
 
 # B_2, B_4, ..., B_14: the Bernoulli numbers of the asymptotic trigamma series

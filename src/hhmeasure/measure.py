@@ -65,12 +65,6 @@ class MeasureDensity:
     def masked_area_fraction(self) -> float:
         return self.grid.masked_area_fraction
 
-    def value_at(self, w: complex):
-        m = self.grid.value_at(w)
-        if m is None:
-            return None
-        return complex(m / (2j * np.pi))
-
     def _richardson(self, integral):
         coarse = integral(self.grid)
         if self.fine is None:

@@ -127,9 +127,6 @@ class FourierSymbol:
         except OverflowError:  # a modulus beyond the float range
             return math.inf
 
-    def describe(self) -> str:
-        return f"symbol(band={self.band}, nnz={len(self.coeffs)}, tail={self.tail_bound:g})"
-
     # -- derived symbols -------------------------------------------------------
 
     def poisson_smooth(self, r: float) -> "FourierSymbol":
@@ -204,7 +201,8 @@ class FourierSymbol:
         """Evaluate the harmonic extension Phi at z (scalar or array).
 
         Interior points are always allowed; |z| = 1 requires an exact
-        finite-band symbol (absolute convergence is then trivial).
+        finite-band symbol (absolute convergence is then trivial).  A value
+        beyond the float range raises NonFiniteError.
         """
         zv = np.asarray(z, dtype=complex)
         a = np.abs(zv)
@@ -212,31 +210,34 @@ class FourierSymbol:
             raise DomainError("harmonic extension is only defined on the closed disc")
         if not self.is_finite_band and np.any(a >= 1.0):
             raise TailError("boundary evaluation needs an exact finite-band symbol")
-        out = _eval_extension(self, zv)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _eval_extension(self, zv)
+        if not np.all(np.isfinite(out)):
+            raise NonFiniteError("the harmonic extension overflows the float range")
         if np.isscalar(z):
             return complex(out)
         return out
 
-    def boundary_values(self, thetas) -> np.ndarray:
-        """phi(e^{i theta}) for an array of angles (finite band only)."""
-        if not self.is_finite_band:
-            raise TailError("boundary values need an exact finite-band symbol")
-        thetas = np.asarray(thetas, dtype=float)
-        return _eval_extension(self, np.exp(1j * thetas))
-
     def wirtinger(self, z) -> tuple[complex, complex]:
-        """Wirtinger derivatives (dPhi/dz, dPhi/dzbar) at an interior point."""
+        """(dPhi/dz, dPhi/dzbar) at an interior point; NonFiniteError beyond the float range."""
         if np.any(np.abs(np.asarray(z)) >= 1.0):
             raise DomainError("Wirtinger derivatives require |z| < 1")
-        dz, dzbar = _wirtinger(self, z)
+        with np.errstate(over="ignore", invalid="ignore"):
+            dz, dzbar = _wirtinger(self, z)
+        if not (np.all(np.isfinite(dz)) and np.all(np.isfinite(dzbar))):
+            raise NonFiniteError("the Wirtinger derivatives overflow the float range")
         if np.isscalar(z):
             return complex(dz), complex(dzbar)
         return dz, dzbar
 
     def jacobian(self, z) -> float:
-        """J(Phi)(z) = |dPhi/dz|^2 - |dPhi/dzbar|^2."""
+        """J(Phi)(z) = |dPhi/dz|^2 - |dPhi/dzbar|^2; NonFiniteError beyond the float range."""
         dz, dzbar = self.wirtinger(z)
-        return float(abs(dz) ** 2 - abs(dzbar) ** 2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            jac = float(np.abs(dz) ** 2 - np.abs(dzbar) ** 2)
+        if not np.isfinite(jac):
+            raise NonFiniteError("the Jacobian overflows the float range")
+        return jac
 
 
 # -- unchecked evaluation helpers (used by root iterations) --------------------

@@ -224,7 +224,7 @@ def test_11_index_spot_checks():
                 if density.grid.value_at(lam) is None:
                     continue
                 wind, value, ok = index_check(sym, lam, 1.0, density=density)
-                assert ok, f"{sym.describe()} at {lam}: wind {wind}, density {value}"
+                assert ok, f"{sym.coeffs} at {lam}: wind {wind}, density {value}"
                 checked += 1
             assert checked == 20
 

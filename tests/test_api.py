@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import hhmeasure
 
 PUBLIC = [
@@ -20,3 +22,9 @@ def test_public_surface():
     assert sorted(hhmeasure.__all__) == PUBLIC
     for name in PUBLIC:
         assert hasattr(hhmeasure, name), name
+
+
+def test_curve_and_raster_fields():
+    assert [f.name for f in fields(hhmeasure.SampledCurve)] == ["sym", "r", "points"]
+    assert [f.name for f in fields(hhmeasure.MultiplicityGrid)] == [
+        "grid", "values", "invalid", "curve"]

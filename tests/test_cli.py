@@ -72,6 +72,26 @@ class TestMeasure:
         assert diagnostic["error"] == "NonIntegerError"
         assert "above target" in diagnostic["message"]
 
+    def test_hopeless_chord_target_exits_3_at_once(self, capsys, tmp_path, monkeypatch):
+        from hhmeasure.degree import SampledCurve
+
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"type": "finite_band", "coeffs": [
+            {"k": 1, "re": 1e300, "im": 0.0}, {"k": 2, "re": 0.3, "im": 0.0},
+            {"k": 3, "re": 0.1, "im": 0.0}]}))
+        sampled = []
+        evaluate = SampledCurve.evaluate
+        monkeypatch.setattr(SampledCurve, "evaluate",
+                            lambda self, thetas: sampled.append(len(thetas))
+                            or evaluate(self, thetas))
+        code, out, err = run_cli(capsys, "measure", "--symbol", str(path),
+                                 "--grid=-2,2,-2,2,40,40")
+        assert code == 3 and out == ""
+        diagnostic = strict_json(err)
+        assert diagnostic["error"] == "NonIntegerError"
+        assert diagnostic["message"].endswith("above target 0.025 at 1024 points")
+        assert sampled == [1024]
+
 
 class TestTraceCheck:
     def test_report(self, capsys, shift_symbol):

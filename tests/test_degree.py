@@ -17,6 +17,7 @@ from hhmeasure.symbols import _eval_extension
 from conftest import random_symbol
 
 SHIFT = FourierSymbol({1: 1.0})
+CURVE = SampledCurve.from_symbol(SHIFT, 1.0, n=8)
 
 
 def suite_symbols(seed=42, count=10, band_max=3):
@@ -43,10 +44,7 @@ class TestWinding:
 
     def test_adaptive_refinement_from_coarse(self):
         # 8 samples force bisection near the query point
-        n = 8
-        ang = np.arange(n) * 2 * np.pi / n
-        curve = SampledCurve(ang, np.exp(1j * ang),
-                             evaluator=lambda t: np.exp(1j * np.asarray(t)))
+        curve = SampledCurve.from_symbol(SHIFT, 1.0, n=8)
         assert winding(curve, 0.9, 1e-4) == 1
 
     def test_separation_failure(self):
@@ -69,12 +67,6 @@ class TestWinding:
     def test_curve_near_the_float_range(self, lam, expected):
         curve = SampledCurve.from_symbol(FourierSymbol({1: 1.2e308}), 1.0)
         assert winding(curve, lam, 1e-8) == expected
-
-    def test_unrefinable_curve_under_resolution(self):
-        ang = np.arange(3) * 2 * np.pi / 3
-        curve = SampledCurve(ang, np.exp(1j * ang))  # no evaluator
-        with pytest.raises(NonIntegerError):
-            winding(curve, 0.0, 1e-6)
 
 
 class TestMultiplicityGrid:
@@ -306,12 +298,20 @@ class TestChordCap:
         with pytest.raises(NonIntegerError):
             multiplicity_grid(SHIFT, 1.0, GridSpec(-2, 2, -2, 2, 400, 400))
 
-    def test_unrefinable_curve_raises(self):
-        ang = np.arange(8) * 2 * np.pi / 8
-        curve = SampledCurve(ang, np.exp(1j * ang))
-        assert curve.refine_to_chord(1.0) is curve
-        with pytest.raises(NonIntegerError, match="not refinable"):
-            curve.refine_to_chord(0.1)
+    def test_reachable_target_is_reached(self):
+        # 2^8 doublings are left from 1024 points: a chord at 255.9 times the
+        # target is within reach, and refinement ends at the cap
+        curve = SampledCurve.from_symbol(SHIFT, 1.0)
+        chord = float(np.max(np.abs(np.diff(np.append(curve.points, curve.points[0])))))
+        assert curve.refine_to_chord(chord / 255.9).points.size == degree._MAX_CURVE_POINTS
+        with pytest.raises(NonIntegerError, match="at 1024 points"):
+            curve.refine_to_chord(chord / 256.1)
+
+    def test_bisection_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(degree, "_MAX_CURVE_POINTS", 8)
+        curve = SampledCurve.from_symbol(SHIFT, 1.0, n=8)
+        with pytest.raises(NonIntegerError, match="bisection passed 8 points"):
+            winding(curve, 0.9, 1e-4)
 
 
 class TestRefineToChord:
@@ -335,14 +335,6 @@ class TestRefineToChord:
         fresh = SampledCurve.from_symbol(sym, 0.95, refined.points.size)
         assert np.array_equal(refined.points.view(np.uint64), fresh.points.view(np.uint64))
 
-    def test_non_uniform_curve_is_resampled(self):
-        ang = np.sort(np.random.default_rng(4).uniform(0, 2 * np.pi, 50))
-        evaluate = lambda t: np.exp(1j * np.asarray(t))
-        refined = SampledCurve(ang, evaluate(ang), evaluate).refine_to_chord(0.01)
-        uniform = np.arange(refined.points.size) * (2 * np.pi / refined.points.size)
-        assert np.array_equal(refined.angles, uniform)
-        assert np.array_equal(refined.points, evaluate(uniform))
-
 
 class TestMaskedCellsStoreZero:
     def test_grid_stores_zero_on_masked_cells(self):
@@ -354,8 +346,8 @@ class TestMaskedCellsStoreZero:
         grid = GridSpec(0, 1, 0, 1, 2, 2)
         invalid = np.array([[True, False], [False, False]])
         with pytest.raises(RangeError, match="invalid cells"):
-            MultiplicityGrid(grid, np.ones((2, 2)), invalid, 0.1, 8)
-        MultiplicityGrid(grid, np.array([[0, 1], [1, 1]]), invalid, 0.1, 8)
+            MultiplicityGrid(grid, np.ones((2, 2)), invalid, CURVE)
+        MultiplicityGrid(grid, np.array([[0, 1], [1, 1]]), invalid, CURVE)
 
 
 class TestInt32Raster:
@@ -368,11 +360,11 @@ class TestInt32Raster:
 
     def test_int32_values_kept_without_copy(self):
         values = np.array([[0, 1], [-2, 3]], dtype=np.int32)
-        assert MultiplicityGrid(self.GRID, values, self.VALID, 0.1, 8).values is values
+        assert MultiplicityGrid(self.GRID, values, self.VALID, CURVE).values is values
 
     def test_wider_integers_converted(self):
         values = np.array([[0, 2 ** 31 - 1], [-2 ** 31, 3]], dtype=np.int64)
-        mg = MultiplicityGrid(self.GRID, values, self.VALID, 0.1, 8)
+        mg = MultiplicityGrid(self.GRID, values, self.VALID, CURVE)
         assert mg.values.dtype == np.int32
         assert np.array_equal(mg.values, values)
 
@@ -380,7 +372,7 @@ class TestInt32Raster:
     def test_out_of_range_rejected(self, big):
         values = np.array([[0, 0], [big, 0]], dtype=np.int64)
         with pytest.raises(RangeError, match="int32"):
-            MultiplicityGrid(self.GRID, values, self.VALID, 0.1, 8)
+            MultiplicityGrid(self.GRID, values, self.VALID, CURVE)
 
 
 class TestCoarseCurveReuse:
@@ -493,7 +485,7 @@ class TestDegreeIdentity:
                     oracle = preimage_multiplicity(sym, r, w)
                 except (NoConvergence, DegenerateRoot):
                     continue
-                assert oracle == mg.values[j, i], f"cell {w} of {sym.describe()}"
+                assert oracle == mg.values[j, i], f"cell {w} of {sym.coeffs}"
                 compared += 1
         assert compared >= 30
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from hhmeasure import FourierSymbol, load_symbol_spec
+from hhmeasure.degree import preimage_multiplicity
 from hhmeasure.errors import (DomainError, NonFiniteError, RangeError, SampleCountError,
                               SchemaError, TailError)
 from hhmeasure.symbols import _horner
@@ -37,7 +38,7 @@ class TestFromSamples:
         values = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         sym = FourierSymbol.from_samples(values)
         t = np.arange(16) * 2 * np.pi / 16
-        back = sym.boundary_values(t)
+        back = sym.harmonic_eval(np.exp(1j * t))
         assert np.max(np.abs(back - values)) < 1e-12
 
     @pytest.mark.parametrize("count", [0, 3, 6, 12])
@@ -137,7 +138,7 @@ class TestHarmonicEval:
     def test_poisson_consistency(self, r, theta):
         sym = FourierSymbol({-2: 0.3 - 0.1j, -1: 0.2j, 0: 1.0, 1: 0.7, 3: 0.4j})
         lhs = sym.harmonic_eval(r * np.exp(1j * theta))
-        rhs = complex(sym.poisson_smooth(r).boundary_values(np.array([theta]))[0])
+        rhs = sym.poisson_smooth(r).harmonic_eval(np.exp(1j * theta))
         assert abs(lhs - rhs) < 1e-12
 
     def test_real_symbol_real_values(self, rng):
@@ -266,6 +267,20 @@ class TestSymbolSpecFiles:
         fa, fd, ga, gd = sym._split
         assert np.isinf(fd[2]) and np.isinf(gd[1])
         assert np.isfinite(sym.harmonic_eval(0.5))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs, call", [
+        ({1: 1.5e308, 2: 1.5e308}, lambda sym: sym.harmonic_eval(0.99)),
+        ({1: 1.5e308, 2: 1.5e308}, lambda sym: sym.wirtinger(0.5)),
+        ({1: 1.5e308, 2: 1.5e308}, lambda sym: preimage_multiplicity(sym, 1.0, 0.3)),
+        # finite derivatives, but the coefficient sum of the bound overflows
+        ({1: 1e308, -1: 1e308}, lambda sym: preimage_multiplicity(sym, 1.0, 0.3)),
+        ({1: 1e200}, lambda sym: sym.jacobian(0.5)),
+    ], ids=["harmonic_eval", "wirtinger", "preimage_multiplicity", "preimage_bound",
+            "jacobian"])
+    def test_overflow_raises_without_warning(self, coeffs, call):
+        with pytest.raises(NonFiniteError):
+            call(FourierSymbol(coeffs))
 
     def test_one_norm_overflow_is_inf(self):
         assert FourierSymbol({1: 1.7e308 + 1.7e308j}).one_norm() == np.inf

@@ -24,8 +24,6 @@ from .poly import BivariatePolynomial, parse_polynomial
 from .symbols import FourierSymbol, load_symbol_spec
 
 _MAX_CELLS = 10 ** 7
-# subcommands that also rasterize the halved grid, with four times the cells
-_REFINING = ("trace-check", "smooth-limit")
 
 
 def _fmt(x: float) -> str:
@@ -97,8 +95,6 @@ class RunConfig:
     def __post_init__(self):
         if self.grid is not None:
             cells = self.grid.nx * self.grid.ny
-            if self.subcommand in _REFINING:
-                cells *= 4
             if cells > _MAX_CELLS:
                 raise RangeError(f"{cells} grid cells exceed the {_MAX_CELLS} cell guard")
         for r in self.r_list:

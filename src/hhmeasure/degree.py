@@ -13,7 +13,8 @@ bisection in `winding`.  Two independent routes lead to the same integers:
   windings.  The result is deterministic and integer-exact with respect to
   the sampled polygon, and its cost grows with the crossings and the cells,
   not with rows times edges.  Cells within eps of a curve sample are masked
-  by testing a fixed table of cell offsets around every sample.
+  by testing a fixed table of cell offsets around every sample.  `_coverage`
+  gives every cell's exact average winding instead, for moments on masked cells.
 * `preimage_multiplicity` counts disk preimages with Jacobian signs and
   serves as the oracle for the degree identity wind(phi, w) = sum sgn J
   over preimages.  An exclusion quadtree discards every square on which the
@@ -128,7 +129,7 @@ def default_grid(sym: FourierSymbol, n: int = 400) -> GridSpec:
 
 # -- sampled curves ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledCurve:
     """The curve phi_r(e^{it}) of sym, sampled at the n uniform angles 2 pi k / n.
 
@@ -259,7 +260,7 @@ def winding(curve: SampledCurve, lam: complex, eps: float) -> int:
 
 # -- multiplicity grids --------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplicityGrid:
     """Integer raster of the signed multiplicity over a rectangle.
 
@@ -279,7 +280,7 @@ class MultiplicityGrid:
     grid: GridSpec
     values: np.ndarray
     invalid: np.ndarray
-    curve: SampledCurve = field(repr=False, compare=False)
+    curve: SampledCurve = field(repr=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values)
@@ -348,6 +349,41 @@ def _polygon_windings(pts: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.nda
     rev = out[:, ::-1]
     np.cumsum(rev, axis=1, dtype=np.int32, out=rev)
     return out
+
+
+def _coverage(pts: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Each cell's exact average of the winding number of the closed polygon pts.
+
+    The accumulation rasterizer of font renderers, in cell units: every edge
+    is cut at the grid lines it crosses, and a piece of signed height dv and
+    mean abscissa f within its cell adds -dv (1 - f) to that cell and -dv f to
+    the next one of its row; one cumulative sum along each row then gives
+    -dv for every cell right of the piece.  Edges must span at most one cell
+    each way, as the chords of at most a quarter cell of `multiplicity_grid`
+    do, so an edge has at most three pieces; for the same reason clamping
+    the vertices to one cell beyond the box moves only edges that lie wholly
+    outside it.  Pieces left of the box count in its first column, and
+    pieces right of it or outside its rows in none.
+    """
+    with np.errstate(over="ignore"):  # far vertices are clamped
+        u = np.clip((pts.real - grid.x0) / grid.hx, -1.0, grid.nx + 1.0)
+        v = np.clip((pts.imag - grid.y0) / grid.hy, -1.0, grid.ny + 1.0)
+    du, dv = np.roll(u, -1) - u, np.roll(v, -1) - v
+    # the parameter of the one vertical and one horizontal grid line an edge may cross
+    tx, ty = (np.clip((np.floor(np.maximum(a, a + d)) - a) / np.where(d != 0, d, 1.0), 0, 1)
+              for a, d in ((u, du), (v, dv)))
+    t = np.stack([np.zeros_like(u), np.minimum(tx, ty), np.maximum(tx, ty), np.ones_like(u)])
+    mid = (t[1:] + t[:-1]) / 2
+    um, vm = np.maximum(u + mid * du, 0.0), v + mid * dv
+    col, row = np.floor(um), np.floor(vm)
+    keep = (row >= 0) & (row < grid.ny) & (col < grid.nx)
+    width = grid.nx + 1
+    idx = (row[keep] * width + col[keep]).astype(np.int64)
+    f = (um - col)[keep]
+    height = -((t[1:] - t[:-1]) * dv)[keep]
+    acc = (np.bincount(idx, height * (1 - f), grid.ny * width)
+           + np.bincount(idx + 1, height * f, grid.ny * width))
+    return np.cumsum(acc.reshape(grid.ny, width), axis=1)[:, :grid.nx]
 
 
 def _mask_reach(eps: float, h: float, lo: float, hi: float) -> float:
@@ -422,10 +458,13 @@ def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec,
     cell center; cells within eps = twice the cell diagonal of the curve are
     masked invalid rather than aborting the grid.  The curve is refined until
     every chord is below a quarter of the smaller cell side; ``curve``, if
-    given, is the sampling of phi_r to start the refinement from.
+    given, is the sampling of phi_r to start the refinement from, and a
+    curve of another symbol or radius raises RangeError.
     """
     if curve is None:
         curve = SampledCurve.from_symbol(sym, r)
+    elif curve.sym != sym or curve.r != r:
+        raise RangeError("the start curve must be the curve of this symbol and radius")
     curve = curve.refine_to_chord(min(grid.hx, grid.hy) / 4.0)
     pts = curve.points
     values = _polygon_windings(pts, grid.centers_x(), grid.centers_y())

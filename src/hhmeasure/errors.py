@@ -75,9 +75,5 @@ class NoConvergence(NumericalError):
     """Newton from the last two quadtree levels found different preimage sets."""
 
 
-class MaskCoverageError(NumericalError):
-    """Masked cells cover too much of the quadrature region to trust a report."""
-
-
 class NonFiniteError(NumericalError):
     """A computed value overflowed or became undefined (inf or nan)."""

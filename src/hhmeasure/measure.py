@@ -9,12 +9,13 @@ trace formula
 the index identity at points off the symbol curve, Brown's total-variation
 bound, and the r -> 1 moment convergence for truncated symbols.
 
-This module owns the coarse/fine density pair `MeasureDensity`, every grid
-integral over it and the gate on its masked cells.  Grid integrals follow
-the midpoint rule with masked cells contributing zero; every reported
-integral is the Richardson combination of one grid halving, which removes
-the O(h) bias of the curve-proximity mask, and the raw per-resolution sums
-are kept alongside for auditability.
+This module owns the coarse/fine density pair `MeasureDensity` and every
+grid integral over it.  A moment takes one grid: the midpoint rule with
+each masked cell weighted by its exact average winding, an O(h^2) rule,
+whose quad_err is the measured gap to the sampled curve's exact moment.
+The total variation needs |m| per cell, so it keeps masked cells at zero
+and combines the grid and its halving by Richardson, which removes the
+O(h) bias of the curve-proximity mask.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .degree import (GridSpec, MultiplicityGrid, SampledCurve, default_grid,
+from .degree import (GridSpec, MultiplicityGrid, SampledCurve, _coverage, default_grid,
                      multiplicity_grid, winding)
-from .errors import MaskCoverageError, NonFiniteError, RangeError, WindingUndefined
+from .errors import NonFiniteError, RangeError, WindingUndefined
 from .operators import _truncation, commutator_trace, schatten_norm, self_commutator
 from .poly import BivariatePolynomial, jacobian_bracket
 from .symbols import FourierSymbol
@@ -39,19 +40,20 @@ __all__ = [
 ]
 
 _ABS_SUM_CELLS = 1 << 16  # cells per block of `_abs_sum`
+_MAX_MOMENT_DEGREE = 2048  # deg p + deg q; the contour rule solves a ~(degree / 2)^2 eigenproblem
 
 
 # -- the coarse/fine density pair -----------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureDensity:
     """Complex raster of the measure density (1/2 pi i) * m over a box.
 
     ``values[j, i] = m[j, i] / (2 pi i)`` on valid cells of the coarse grid
-    and 0 on masked ones.  The optional doubled-resolution companion ``fine``
-    turns every integral into the Richardson pair 2*fine - coarse, which
-    removes the O(h) bias of the curve-proximity mask; without it the coarse
-    midpoint sum is reported as is.
+    and 0 on masked ones.  Moments use the coarse grid alone.  The optional
+    doubled-resolution companion ``fine`` turns the total variation into the
+    Richardson pair 2*fine - coarse, which removes the O(h) bias of the
+    curve-proximity mask; without it the coarse sum is reported as is.
     """
 
     grid: MultiplicityGrid
@@ -65,36 +67,47 @@ class MeasureDensity:
     def masked_area_fraction(self) -> float:
         return self.grid.masked_area_fraction
 
-    def _richardson(self, integral):
-        coarse = integral(self.grid)
-        if self.fine is None:
-            return coarse, coarse, coarse
-        fine = integral(self.fine)
-        return 2 * fine - coarse, coarse, fine
+    def moment(self, p: BivariatePolynomial, q: BivariatePolynomial) -> tuple:
+        """(value, quad_err) of (1/2 pi i) int J(p, q) m dxdy on the coarse grid.
 
-    def moment(self, weight, coarse_weight: np.ndarray | None = None) -> tuple:
-        """(extrapolated, coarse, fine) of (1/2 pi i) int weight(x, y) m dxdy.
-
-        ``coarse_weight`` is weight already evaluated on the coarse mesh, for
-        callers that need those values too.  A sum beyond the float range
-        raises NonFiniteError.
+        J(p, q) is taken at the cell centers; valid cells weigh it by their
+        integer m, masked cells by their exact average winding (`_coverage`),
+        so the error is O(h^2).  quad_err is the gap to the exact moment of
+        the rasterized polygon, (1/2 pi i) times its contour integral of
+        p dq (Green's theorem), which also shows any part of the curve that
+        lies outside the box.  A sum beyond the float range raises
+        NonFiniteError, and deg p + deg q above _MAX_MOMENT_DEGREE RangeError.
         """
-        def midpoint(mg: MultiplicityGrid) -> complex:
-            if mg is self.grid and coarse_weight is not None:
-                wvals = coarse_weight
-            else:
-                wvals = weight(*mg.grid.mesh())
-            with np.errstate(over="ignore", invalid="ignore"):  # overflow shows below
-                tot = float(np.sum(wvals * mg.values))
-            if not np.isfinite(tot):
-                raise NonFiniteError(f"grid moment is not finite: {tot}")
-            return complex(tot * mg.grid.cell_area / (2j * np.pi))
-        return self._richardson(midpoint)
+        if p.degree + q.degree > _MAX_MOMENT_DEGREE:
+            raise RangeError(f"deg p + deg q = {p.degree + q.degree} exceeds the"
+                             f" {_MAX_MOMENT_DEGREE} of the contour quadrature")
+        mg = self.grid
+        pts = mg.curve.points
+        cells = np.where(mg.invalid, _coverage(pts, mg.grid), mg.values)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow shows below
+            tot = float(np.sum(jacobian_bracket(p, q)(*mg.grid.mesh()) * cells))
+            # p dq along each edge a + t d is a polynomial in t of degree
+            # deg p + deg q - 1, which these Gauss-Legendre nodes integrate exactly
+            t, w = np.polynomial.legendre.leggauss((p.degree + q.degree) // 2 + 1)
+            d = np.roll(pts, -1) - pts
+            z = pts[:, None] + d[:, None] * ((t + 1) / 2)
+            dq = (q.partial_x()(z.real, z.imag) * d.real[:, None]
+                  + q.partial_y()(z.real, z.imag) * d.imag[:, None])
+            exact = float(np.sum((p(z.real, z.imag) * dq) @ w)) / 2
+        if not np.isfinite(tot + exact):
+            raise NonFiniteError(f"grid moment {tot} or contour {exact} is not finite")
+        value = complex(tot * mg.grid.cell_area / (2j * np.pi))
+        return value, abs(value - exact / (2j * np.pi))
 
     def tv(self) -> tuple:
         """(extrapolated, coarse, fine) of the total variation int |m| / 2 pi."""
-        return self._richardson(lambda mg: _abs_sum(mg.values)
-                                * mg.grid.cell_area / (2 * np.pi))
+        def total(mg: MultiplicityGrid) -> float:
+            return _abs_sum(mg.values) * mg.grid.cell_area / (2 * np.pi)
+        coarse = total(self.grid)
+        if self.fine is None:
+            return coarse, coarse, coarse
+        fine = total(self.fine)
+        return 2 * fine - coarse, coarse, fine
 
 
 def _abs_sum(values: np.ndarray) -> float:
@@ -112,8 +125,8 @@ def hh_density(sym: FourierSymbol, r: float, grid: GridSpec,
                refine: bool = True) -> MeasureDensity:
     """Density of the measure of T_{phi_r} (or T_phi when r = 1) on grid.
 
-    With refine, phi_r is also rasterized on the halving of grid, and every
-    integral of the result is a Richardson pair.  Each grid masks within
+    With refine, phi_r is also rasterized on the halving of grid, for the
+    Richardson pair of the total variation.  Each grid masks within
     twice its own cell diagonal, so the fine mask is half as wide.  The fine
     grid refines the coarse grid's curve: its chord target is half the
     coarse one, and uniform doubling from the coarse level gives the same
@@ -122,13 +135,6 @@ def hh_density(sym: FourierSymbol, r: float, grid: GridSpec,
     coarse = multiplicity_grid(sym, r, grid)
     fine = multiplicity_grid(sym, r, grid.refined(), coarse.curve) if refine else None
     return MeasureDensity(coarse, fine)
-
-
-def _check_masked_fraction(mg: MultiplicityGrid, where: str = "") -> None:
-    """Reject a raster with more than 10% of its box masked; where ends the message."""
-    if mg.masked_area_fraction > 0.10:
-        raise MaskCoverageError(
-            f"{100 * mg.masked_area_fraction:.1f}% of the box is masked{where}")
 
 
 # -- the trace formula ------------------------------------------------------------
@@ -143,8 +149,6 @@ class TraceFormulaReport:
     n_used: int
     grid: GridSpec
     masked_area_fraction: float
-    rhs_coarse: complex
-    rhs_fine: complex
     tail_bound: float
 
     @property
@@ -171,8 +175,8 @@ def trace_formula_check(sym: FourierSymbol, p: BivariatePolynomial,
     """Compare tr([p(X,Y), q(X,Y)]) with the quadrature of J(p,q) * density.
 
     The operator side is the exact corner computation for the (smoothed)
-    finite-band symbol; the quadrature side is the Richardson-corrected
-    midpoint sum of `jacobian_bracket`(p, q) against the density.
+    finite-band symbol; the quadrature side is `MeasureDensity.moment` on
+    one grid, and its quad_err the gap to the sampled curve's exact moment.
     """
     if grid is None:
         grid = default_grid(sym)
@@ -182,39 +186,12 @@ def trace_formula_check(sym: FourierSymbol, p: BivariatePolynomial,
             f"grid box must contain the closed disk of radius {reach:g}")
     sym_eff = sym.poisson_smooth(r) if r < 1.0 else sym
     lhs = commutator_trace(sym_eff, p, q, n_override)
-    density = hh_density(sym, r, grid, refine=True)
-    weight = jacobian_bracket(p, q)
-    wvals = weight(*density.grid.grid.mesh())
-    rhs, coarse, fine = density.moment(weight, wvals)
-    quad_err = abs(fine - coarse)
-    _check_mask_budget(density, wvals, rhs)
+    density = hh_density(sym, r, grid, refine=False)
+    rhs, quad_err = density.moment(p, q)
     return TraceFormulaReport(
         lhs=lhs, rhs=rhs, quad_err_estimate=quad_err,
         n_used=2 * _truncation(sym_eff, p, q, n_override), grid=grid,
-        masked_area_fraction=density.masked_area_fraction,
-        rhs_coarse=coarse, rhs_fine=fine, tail_bound=sym.tail_bound)
-
-
-def _check_mask_budget(density: MeasureDensity, wvals: np.ndarray,
-                       rhs: complex) -> None:
-    """Reject reports whose masked band could swallow the signal.
-
-    The Richardson combination removes the first-order mask bias, so the
-    gate only fires when the mask is genuinely out of control: more than
-    10% of the box masked, or a crude bound on the masked contribution
-    exceeding half of the total absolute contribution.  ``wvals`` is the
-    weight on the coarse cell centers.
-    """
-    mg = density.grid
-    _check_masked_fraction(mg)
-    wvals = np.abs(wvals)
-    m_bound = float(np.max(np.abs(mg.values), initial=0.0))
-    cell = mg.grid.cell_area / (2 * np.pi)
-    masked_est = float(np.sum(wvals[mg.invalid])) * m_bound * cell
-    total_est = float(np.sum(wvals * np.abs(mg.values))) * cell
-    if masked_est > 2.0 * max(total_est, abs(rhs)) and masked_est > 0:
-        raise MaskCoverageError(
-            f"masked contribution estimate {masked_est:g} dominates the integral")
+        masked_area_fraction=density.masked_area_fraction, tail_bound=sym.tail_bound)
 
 
 # -- total variation and the index identity ----------------------------------------
@@ -274,8 +251,8 @@ class SmoothingLimitReport:
     """Moment table of the r -> 1 probe; Cauchy diagnostics, no limit claim."""
 
     r_values: tuple
-    moments: np.ndarray           # (n_r,) extrapolated values
-    moments_raw: np.ndarray       # (n_r, 2) coarse/fine midpoint sums
+    moments: np.ndarray           # (n_r,) grid moments
+    quad_errs: np.ndarray         # (n_r,) gaps to each sampled curve's exact moment
     successive_diffs: np.ndarray  # (n_r - 1,) |moment_{i+1} - moment_i|
     masked_fractions: tuple
     lhs: complex
@@ -284,7 +261,7 @@ class SmoothingLimitReport:
     def to_dict(self) -> dict:
         rows = []
         for i, r in enumerate(self.r_values):
-            row = {"r": r, "moment": self.moments[i],
+            row = {"r": r, "moment": self.moments[i], "quad_err": self.quad_errs[i],
                    "masked_fraction": self.masked_fractions[i]}
             if i > 0:
                 row["diff_prev"] = float(self.successive_diffs[i - 1])
@@ -298,9 +275,9 @@ def smoothing_limit_probe(sym: FourierSymbol, p: BivariatePolynomial,
     """Moments (1/2 pi i) int J(p,q) m_{Phi_r} dxdy along r, against the trace.
 
     The radii must be nonempty, strictly increasing and below 1.  At each
-    radius the moment is the Richardson pair of `hh_density`, and more than
-    10% of the box masked raises MaskCoverageError.  The moment sequence is
-    reported with successive differences only; no limit value is claimed.
+    radius the moment and its quad_err are `MeasureDensity.moment` on one
+    grid.  The moment sequence is reported with successive differences
+    only; no limit value is claimed.
     The operator side is the exact trace for the stored truncation, and the
     tail bound is propagated in the report.
     """
@@ -311,17 +288,14 @@ def smoothing_limit_probe(sym: FourierSymbol, p: BivariatePolynomial,
         raise RangeError("probe radii must stay strictly below 1")
     if grid is None:
         grid = default_grid(sym)
-    weight = jacobian_bracket(p, q)
     moments = np.zeros(len(r_values), dtype=complex)
-    raw = np.zeros((len(r_values), 2), dtype=complex)
+    quad_errs = np.zeros(len(r_values))
     fractions = []
     for i, r in enumerate(r_values):
-        density = hh_density(sym, r, grid)
-        _check_masked_fraction(density.grid, f" at r={r}")
+        density = hh_density(sym, r, grid, refine=False)
         fractions.append(density.masked_area_fraction)
-        moments[i], coarse, fine = density.moment(weight)
-        raw[i] = coarse, fine
+        moments[i], quad_errs[i] = density.moment(p, q)
     # operator side for the stored truncation; the discarded tail is noted
     lhs = commutator_trace(FourierSymbol(dict(sym.coeffs)), p, q)
-    return SmoothingLimitReport(r_values, moments, raw, np.abs(np.diff(moments)),
+    return SmoothingLimitReport(r_values, moments, quad_errs, np.abs(np.diff(moments)),
                                 tuple(fractions), lhs, sym.tail_bound)

@@ -24,6 +24,17 @@ def test_public_surface():
         assert hasattr(hhmeasure, name), name
 
 
+def test_curve_raster_and_density_compare_by_identity():
+    sym = hhmeasure.FourierSymbol({1: 1.0})
+    grid = hhmeasure.GridSpec(-1.5, 1.5, -1.5, 1.5, 10, 10)
+    for make in (lambda: hhmeasure.SampledCurve.from_symbol(sym, 1.0),
+                 lambda: hhmeasure.multiplicity_grid(sym, 1.0, grid),
+                 lambda: hhmeasure.hh_density(sym, 1.0, grid)):
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, a, b}) == 2 and hash(a) == hash(a)
+
+
 def test_curve_and_raster_fields():
     assert [f.name for f in fields(hhmeasure.SampledCurve)] == ["sym", "r", "points"]
     assert [f.name for f in fields(hhmeasure.MultiplicityGrid)] == [

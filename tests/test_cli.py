@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from hhmeasure import cli, errors
@@ -125,6 +126,21 @@ class TestTraceCheck:
         assert diagnostic["code"] == "numerical"
         assert diagnostic["error"] == "NonFiniteError"
 
+    def test_band16_on_the_default_grid(self, capsys, tmp_path):
+        # moduli 0.5 (k > 0) and 0.25 (k < 0), seeded phases: tr [X, Y] = -12.75i;
+        # with a masked Richardson pair this grid failed its mask gate (exit 3)
+        rng = np.random.default_rng(1)
+        coeffs = [{"k": k, "re": z.real, "im": z.imag} for k in range(-16, 17) if k
+                  for z in [(0.5 if k > 0 else 0.25) * np.exp(2j * np.pi * rng.uniform())]]
+        path = tmp_path / "band16.json"
+        path.write_text(json.dumps({"type": "finite_band", "coeffs": coeffs}))
+        code, out, err = run_cli(capsys, "trace-check", "--symbol", str(path))
+        assert code == 0 and err == ""
+        doc = strict_json(out)
+        assert doc["grid"]["nx"] == 400
+        assert doc["lhs"]["im"] == pytest.approx(-12.75, abs=1e-10)
+        assert doc["abs_err"] <= 1e-4 and doc["quad_err"] <= 1e-4
+
     def test_oversized_dense_block_exits_2(self, capsys, shift_symbol):
         code, out, err = run_cli(capsys, "trace-check", "--symbol", shift_symbol,
                                  "--n", "100000")
@@ -158,17 +174,21 @@ class TestValidation:
         assert code == 2
 
     @pytest.mark.parametrize("sub", ["trace-check", "smooth-limit"])
-    def test_grid_guard_counts_refined_grid(self, capsys, shift_symbol, monkeypatch, sub):
-        from hhmeasure import degree
+    def test_grid_guard_counts_one_grid(self, capsys, shift_symbol, monkeypatch, sub):
+        # moments take the given grid alone, so 2000 x 2000 passes the guard
+        from hhmeasure import measure
+        grids = []
 
-        def no_raster(*args, **kwargs):
-            raise AssertionError("rasterized past the cell guard")
+        def stop_raster(sym, r, grid, curve=None):
+            grids.append(grid)
+            raise errors.NonFiniteError("stopped before rasterizing")
 
-        monkeypatch.setattr(degree, "multiplicity_grid", no_raster)
+        monkeypatch.setattr(measure, "multiplicity_grid", stop_raster)
         code, out, err = run_cli(capsys, sub, "--symbol", shift_symbol,
                                  "--grid=-2,2,-2,2,2000,2000")
-        assert code == 2 and out == ""
-        assert "cell guard" in json.loads(err)["message"]
+        assert code == 3 and out == ""
+        assert json.loads(err)["message"] == "stopped before rasterizing"
+        assert [(g.nx, g.ny) for g in grids] == [(2000, 2000)]
 
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_count_below_one_exits_2(self, capsys, shift_symbol, count):
@@ -278,7 +298,7 @@ class TestErrorTaxonomy:
 
     def test_each_error_has_one_category(self):
         classes = self.leaf_classes()
-        assert len(classes) == 15
+        assert len(classes) == 14
         for cls in classes:
             assert sum(issubclass(cls, base) for base in self.CATEGORIES) == 1, cls
 

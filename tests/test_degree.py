@@ -4,12 +4,11 @@ import pytest
 from hhmeasure import FourierSymbol
 from hhmeasure.besov import jacobian_integrability
 from hhmeasure import degree
-from hhmeasure.degree import (GridSpec, MultiplicityGrid, SampledCurve, _polygon_windings,
-                              _proximity_mask, default_grid, multiplicity_grid,
-                              preimage_multiplicity, winding)
-from hhmeasure.errors import (DegenerateRoot, MaskCoverageError, NoConvergence,
-                              NonIntegerError, RangeError, TailError,
-                              WindingUndefined)
+from hhmeasure.degree import (GridSpec, MultiplicityGrid, SampledCurve, _coverage,
+                              _polygon_windings, _proximity_mask, default_grid,
+                              multiplicity_grid, preimage_multiplicity, winding)
+from hhmeasure.errors import (DegenerateRoot, NoConvergence, NonIntegerError, RangeError,
+                              TailError, WindingUndefined)
 from hhmeasure.measure import hh_density, smoothing_limit_probe
 from hhmeasure.poly import BivariatePolynomial as P
 from hhmeasure.symbols import _eval_extension
@@ -394,6 +393,69 @@ class TestCoarseCurveReuse:
         assert np.array_equal(pair.fine.values, fresh.values)
         assert np.array_equal(pair.fine.invalid, fresh.invalid)
 
+    def test_curve_of_another_symbol_or_radius_rejected(self):
+        grid = GridSpec(-2, 2, -2, 2, 40, 40)
+        square = FourierSymbol({2: 1.0})
+        with pytest.raises(RangeError, match="start curve"):
+            multiplicity_grid(square, 0.5, grid, SampledCurve.from_symbol(SHIFT, 1.0))
+        with pytest.raises(RangeError, match="start curve"):
+            multiplicity_grid(square, 0.5, grid, SampledCurve.from_symbol(square, 1.0))
+        mg = multiplicity_grid(square, 0.5, grid, SampledCurve.from_symbol(square, 0.5))
+        assert mg.curve.sym == square and mg.curve.r == 0.5
+
+
+def shoelace(pts: np.ndarray) -> float:
+    return 0.5 * float(np.sum(pts.real * np.roll(pts.imag, -1) - np.roll(pts.real, -1) * pts.imag))
+
+
+COVERAGE_SYMBOLS = [random_symbol(np.random.default_rng(band), band) for band in (1, 2, 3, 5, 8, 16)] + [
+    FourierSymbol({7: 1.0}), FourierSymbol({7: 1.0, 1: 0.3, -2: 0.2}), FourierSymbol({-3: 1.0})]
+
+
+class TestCoverage:
+    """Exact cell averages of the polygon's winding, against the integer raster."""
+
+    @pytest.mark.parametrize("r", [1.0, 0.9])
+    @pytest.mark.parametrize("idx", range(len(COVERAGE_SYMBOLS)))
+    def test_winding_on_valid_cells_and_shoelace_area(self, idx, r):
+        sym = COVERAGE_SYMBOLS[idx]
+        grid = default_grid(sym, 90)
+        mg = multiplicity_grid(sym, r, grid)
+        cov = _coverage(mg.curve.points, grid)
+        valid = ~mg.invalid
+        assert np.max(np.abs(cov[valid] - mg.values[valid])) <= 1e-9
+        area = shoelace(mg.curve.points)
+        assert abs(cov.sum() * grid.cell_area - area) <= 1e-9 * abs(area)
+
+    def test_real_symbol_is_zero(self, rng):
+        sym = random_symbol(rng, 3, real=True)
+        mg = multiplicity_grid(sym, 0.9, default_grid(sym, 50))
+        assert not _coverage(mg.curve.points, mg.grid).any()
+
+    @pytest.mark.parametrize("box, rows, cols", [
+        ((-0.5, 1.5, -1.0, 0.5), slice(20, 50), slice(30, 70)),   # cuts the curve
+        ((1.0, 2.0, -2.0, 2.0), slice(0, 80), slice(60, 80)),     # right part of the curve
+        ((-2.0, -1.0, 1.0, 2.0), slice(60, 80), slice(0, 20)),    # one corner
+    ])
+    def test_box_cutting_the_curve(self, box, rows, cols):
+        # cells aligned with those of a box around the whole curve, same chord target
+        sym = FourierSymbol({1: 1.0, 2: 0.4, -1: 0.2})
+        full = multiplicity_grid(sym, 1.0, GridSpec(-2, 2, -2, 2, 80, 80))
+        x0, x1, y0, y1 = box
+        part = GridSpec(x0, x1, y0, y1, cols.stop - cols.start, rows.stop - rows.start)
+        cut = _coverage(full.curve.points, part)
+        assert np.max(np.abs(cut - _coverage(full.curve.points, full.grid)[rows, cols])) <= 1e-12
+        valid = ~full.invalid[rows, cols]
+        assert np.max(np.abs(cut[valid] - full.values[rows, cols][valid]), initial=0) <= 1e-9
+
+    @pytest.mark.filterwarnings("error")
+    def test_far_vertices_are_clamped(self):
+        # a small circle so far left of 1e-10-wide cells that its abscissae
+        # overflow in cell units: it lies left of every cell, so it covers none
+        grid = GridSpec(0, 4e-10, 0, 1, 4, 4)
+        far = SampledCurve.from_symbol(FourierSymbol({0: -1e300 + 0.5j, 1: 0.01}), 1.0)
+        assert np.max(np.abs(_coverage(far.points, grid))) <= 1e-12
+
 
 class TestPreimageMultiplicity:
     def test_shift(self):
@@ -571,10 +633,14 @@ class TestLimitProbe:
             smoothing_limit_probe(SHIFT, P.x(), P.y(), [0.9, 0.5], grid)
 
     def test_mask_budget(self):
-        # a box hugging the curve is mostly masked at coarse resolution
+        # no mask budget: a box hugging the curve is wholly masked and still
+        # gives a moment, whose quad_err shows the part of the disk outside the box
         grid = GridSpec(0.9, 1.1, -0.1, 0.1, 4, 4)
-        with pytest.raises(MaskCoverageError, match=r"masked at r=0\.999$"):
-            smoothing_limit_probe(SHIFT, P.x(), P.y(), [0.999], grid)
+        rep = smoothing_limit_probe(SHIFT, P.x(), P.y(), [0.999], grid)
+        assert rep.masked_fractions == (1.0,)
+        assert abs(rep.moments[0]) < 0.01
+        assert rep.quad_errs[0] == pytest.approx(0.5, abs=0.01)
+        assert rep.to_dict()["rows"][0]["quad_err"] == rep.quad_errs[0]
 
     def test_rejects_r_at_one(self):
         grid = GridSpec(-1.5, 1.5, -1.5, 1.5, 20, 20)

@@ -5,7 +5,9 @@ the sha256 of the output file with a digest recorded before the coarse/fine
 pair refactor; the ``zz`` and ``conj`` cases were recorded before ``measure``
 streamed its rows from format tables.  A digest changes only when an output
 byte changes; a deliberate change of output must update the digest and say so
-in CHANGES.md.
+in CHANGES.md.  The trace-check and smooth-limit digests were re-recorded
+when moments moved from a masked Richardson pair to exact cell coverage on
+one grid.
 
 The raster pins hash the integer values and the mask of both grids of
 ``hh_density`` directly, so they see every cell, masked or not; they were
@@ -103,11 +105,11 @@ DIGESTS = {
     "measure-csv-zz": "d1c00e7b29544837041060c86bda8bd6d41d4975b9e3756d58ba6860d79ad2e4",
     "measure-json-band2": "a931cdf41721890b62c6e77942c73e5d00384074bee2de3e6c785ed292500bdc",
     "measure-json-conj": "751682786676746613496a0e8ed8a9aa54a7006aeb936b0b96989f9c3b9115fe",
-    "smooth-limit-band2": "d4f77b77acc084b0aa825a558bee0e29ad2ba592cf72c66cf6f04b2fa026a594",
-    "smooth-limit-shift": "edea58e760533597eac86d72ee1b8d7a84f8d9e0d4285851aebb23edd2260769",
-    "trace-check-band2": "29f70cd8c1358685751d2b486a7443a28cf2896a7c42a7dc65951d9e9e294ffd",
-    "trace-check-band2-r": "1f6bede1d20e1874c70b6326fc439ae5d9e09acdbd668c8fd3ecd90ab0831413",
-    "trace-check-shift": "cb64a48aeaafeb88da6557411854e30da81fb92cd4a9dc14eddcd0e6a18c1352",
+    "smooth-limit-band2": "7a85d664da10ce7c81d91e4683095dc130f8b7f164d27f67ee1eae310a726f46",
+    "smooth-limit-shift": "5db1a2cb0603d87551f45a5746c8eab983a88d25ce3bac9416b5bba07158e4cb",
+    "trace-check-band2": "baaa252d49e22a5c2543396d90b9b7d4d5cc4781e70b86eba7e30ee815b62ff2",
+    "trace-check-band2-r": "bf02280938222c0f4e40ae14891a20ba53568088c19fcb4ac90c028e4d663e5f",
+    "trace-check-shift": "44f91d7b1199b915dc2fe2e481f6f82f21e0b641f730640225b534f5dca1a359",
     "winding-band2": "25e74175745346c612eed2441bd3713250e30624ad5cca5c9cf0d654f70bc0f5",
     "winding-shift": "0c5488c2a88bd8ea0e230ab2e4efa679547c183497b93c9716f53734f109c401",
 }

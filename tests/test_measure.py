@@ -8,7 +8,7 @@ from hhmeasure.errors import NonFiniteError, RangeError, WindingUndefined
 from hhmeasure.measure import (brown_bound_check, hh_density, index_check,
                                smoothing_limit_probe, total_variation,
                                trace_formula_check)
-from hhmeasure.operators import schatten_norm, self_commutator
+from hhmeasure.operators import commutator_trace, schatten_norm, self_commutator
 from hhmeasure.poly import BivariatePolynomial as P
 
 from conftest import random_symbol
@@ -51,23 +51,20 @@ class TestDensityPair:
         assert hh_density(SHIFT, 1.0, self.GRID, refine=False).fine is None
 
     def test_richardson_pair(self):
+        # the total variation keeps the pair; a moment takes the coarse grid alone
         d = hh_density(SHIFT, 1.0, self.GRID)
         tv, coarse, fine = d.tv()
         assert tv == 2 * fine - coarse == total_variation(d)
-        moment, coarse, fine = d.moment(P.constant(1.0))
-        assert moment == 2 * fine - coarse
-        assert moment == pytest.approx(-0.5j, abs=2e-3)   # area pi / (2 pi i)
+        moment, quad_err = d.moment(P.x(), P.y())            # J(x, y) = 1
+        assert moment == pytest.approx(-0.5j, abs=1e-5)       # area pi / (2 pi i)
+        assert quad_err < 1e-5
 
     def test_coarse_only_reports_coarse(self):
         d = hh_density(SHIFT, 1.0, self.GRID, refine=False)
         tv, coarse, fine = d.tv()
         assert tv == coarse == fine
-        assert len(set(d.moment(P.x() * P.x()))) == 1
-
-    def test_moment_takes_coarse_weight_values(self):
-        d = hh_density(SHIFT, 1.0, self.GRID)
-        w = P.monomial(2, 1) + P.y()
-        assert d.moment(w, w(*self.GRID.mesh())) == d.moment(w)
+        p, q = P.monomial(2, 1), P.x() + P.monomial(0, 2)
+        assert d.moment(p, q) == hh_density(SHIFT, 1.0, self.GRID).moment(p, q)
 
     def test_values_computed_once(self):
         d = hh_density(SHIFT, 1.0, self.GRID, refine=False)
@@ -116,7 +113,7 @@ class TestTraceFormula:
 
         monkeypatch.setattr(measure, "jacobian_bracket", counting_bracket)
         trace_formula_check(SHIFT, P.x(), P.y(), SHIFT_GRID, 1.0)
-        assert shapes == [(300, 300), (600, 600)]
+        assert shapes == [(300, 300)]
 
     def test_box_containment_precondition(self):
         small = GridSpec(-0.5, 0.5, -0.5, 0.5, 20, 20)
@@ -134,7 +131,52 @@ class TestTraceFormula:
     def test_overflowing_weight_raises(self):
         density = hh_density(FourierSymbol({2: 1.0}), 0.9, GridSpec(-2, 2, -2, 2, 8, 8))
         with pytest.raises(NonFiniteError):
-            density.moment(lambda x, y: np.full_like(x, np.inf))
+            density.moment(P.x() * 1e308, P.y())   # J = 1e308 on 64 cells
+
+    def test_moment_degree_guard(self):
+        # the Gauss-Legendre rule for degree 2048 already solves a 1025 x 1025 eigenproblem
+        density = hh_density(SHIFT, 1.0, GridSpec(-2, 2, -2, 2, 8, 8), refine=False)
+        with pytest.raises(RangeError, match="2049 exceeds the 2048"):
+            density.moment(P.monomial(2048, 0), P.y())
+
+
+class TestOneGridMoment:
+    BAND2 = FourierSymbol({1: 1.0, 2: 0.4, -1: 0.2})
+
+    def test_one_raster_per_moment(self, monkeypatch):
+        grids = []
+        raster = measure.multiplicity_grid
+
+        def counting(sym, r, grid, curve=None):
+            grids.append((r, grid))
+            return raster(sym, r, grid, curve)
+
+        monkeypatch.setattr(measure, "multiplicity_grid", counting)
+        trace_formula_check(SHIFT, P.x(), P.y(), SHIFT_GRID, 1.0)
+        assert grids == [(1.0, SHIFT_GRID)]
+        grids.clear()
+        rep = smoothing_limit_probe(SHIFT, P.x(), P.y(), [0.5, 0.9, 0.99], SHIFT_GRID)
+        assert grids == [(r, SHIFT_GRID) for r in (0.5, 0.9, 0.99)]
+        assert [row["quad_err"] for row in rep.to_dict()["rows"]] == list(rep.quad_errs)
+
+    @pytest.mark.parametrize("sym, p, q", [
+        (SHIFT, P.x(), P.y()), (BAND2, P.x(), P.y()), (BAND2, P.monomial(2, 0), P.y())])
+    def test_default_grid_accuracy(self, sym, p, q):
+        rep = trace_formula_check(sym, p, q)
+        assert rep.grid.nx == rep.grid.ny == 400
+        assert rep.abs_err <= 1e-6
+        assert rep.quad_err_estimate <= 1e-6
+
+    def test_converges_at_h_squared(self):
+        p, q = P.monomial(2, 1), P.x() + P.monomial(0, 2)
+        exact = commutator_trace(self.BAND2, p, q)
+        errs = []
+        for n in (100, 200, 400):
+            value, quad_err = hh_density(self.BAND2, 1.0, default_grid(self.BAND2, n),
+                                         refine=False).moment(p, q)
+            assert abs(value - exact) == pytest.approx(quad_err, rel=0.05)
+            errs.append(quad_err)
+        assert errs[0] / errs[1] >= 3 and errs[1] / errs[2] >= 3
 
 
 class TestTotalVariation:

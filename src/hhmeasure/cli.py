@@ -212,7 +212,7 @@ def _run_measure(config: RunConfig) -> int:
     sym = _load_symbol(config)
     r = _radius(config, sym)
     grid = config.grid or default_grid(sym)
-    density = hh_density(sym, r, grid, refine=False)
+    density = hh_density(sym, r, grid)
     codes, table = _cell_codes(density)
     sx = [_fmt(x) for x in grid.centers_x()]
     sy = [_fmt(y) for y in grid.centers_y()]
@@ -265,7 +265,7 @@ def _run_index_check(config: RunConfig) -> int:
     sym = _load_symbol(config)
     r = _radius(config, sym)
     grid = config.grid or default_grid(sym)
-    density = hh_density(sym, r, grid, refine=False)
+    density = hh_density(sym, r, grid)
     points = list(config.points)
     if not points:
         rng = np.random.default_rng(0)

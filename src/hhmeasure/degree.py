@@ -14,7 +14,8 @@ bisection in `winding`.  Two independent routes lead to the same integers:
   the sampled polygon, and its cost grows with the crossings and the cells,
   not with rows times edges.  Cells within eps of a curve sample are masked
   by testing a fixed table of cell offsets around every sample.  `_coverage`
-  gives every cell's exact average winding instead, for moments on masked cells.
+  gives every cell's exact average winding instead, which the moments and
+  the total variation in `measure` read on masked cells.
 * `preimage_multiplicity` counts disk preimages with Jacobian signs and
   serves as the oracle for the degree identity wind(phi, w) = sum sgn J
   over preimages.  An exclusion quadtree discards every square on which the
@@ -45,6 +46,7 @@ _MAX_REFINE_PASSES = 48
 _MAX_CURVE_POINTS = 2 * _MAX_BAND
 _INT32 = np.iinfo(np.int32)
 _MAX_MASK_OFFSETS = 1 << 16  # (row, column) offsets the proximity mask tests per sample
+_START_POINTS = 1024  # samples of a start curve, before chord refinement
 
 
 @dataclass(frozen=True)
@@ -100,9 +102,6 @@ class GridSpec:
         """(x, y) of every cell center, each of shape (ny, nx)."""
         return np.meshgrid(self.centers_x(), self.centers_y())
 
-    def refined(self) -> "GridSpec":
-        return GridSpec(self.x0, self.x1, self.y0, self.y1, 2 * self.nx, 2 * self.ny)
-
     def locate(self, w: complex):
         """(row, col) of the cell containing w, or None if outside the box.
 
@@ -147,7 +146,7 @@ class SampledCurve:
             raise RangeError(f"curve radius must lie in (0,1], got {self.r}")
         if self.r == 1.0 and not self.sym.is_finite_band:
             raise TailError("r = 1 curves need an exact finite-band symbol")
-        pts = np.asarray(self.points, dtype=complex)
+        pts = np.ascontiguousarray(self.points, dtype=complex)
         if pts.ndim != 1 or pts.size < 3:
             raise RangeError("curve needs a 1-D point array with >= 3 samples")
         if not np.all(np.isfinite(pts.view(float))):
@@ -166,7 +165,7 @@ class SampledCurve:
                               dtype=complex)
 
     @classmethod
-    def from_symbol(cls, sym: FourierSymbol, r: float, n: int = 1024) -> "SampledCurve":
+    def from_symbol(cls, sym: FourierSymbol, r: float, n: int = _START_POINTS) -> "SampledCurve":
         """Sample the curve of phi_r at n uniform angles."""
         blank = cls(sym, r, np.zeros(n, dtype=complex))  # checks sym and r before sampling
         return cls(sym, r, blank.evaluate(blank.angles))
@@ -450,22 +449,16 @@ def _proximity_mask(pts: np.ndarray, grid: GridSpec, eps: float) -> np.ndarray:
     return flat.reshape(-1, width)[pady:pady + grid.ny, padx:padx + grid.nx]
 
 
-def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec,
-                      curve: SampledCurve | None = None) -> MultiplicityGrid:
+def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec) -> MultiplicityGrid:
     """Signed multiplicity m_{Phi_r} on every valid cell center.
 
     Valid cells carry the winding of the sampled curve of phi_r around the
     cell center; cells within eps = twice the cell diagonal of the curve are
-    masked invalid rather than aborting the grid.  The curve is refined until
-    every chord is below a quarter of the smaller cell side; ``curve``, if
-    given, is the sampling of phi_r to start the refinement from, and a
-    curve of another symbol or radius raises RangeError.
+    masked invalid rather than aborting the grid.  The curve starts from
+    `SampledCurve.from_symbol` and is refined until every chord is below a
+    quarter of the smaller cell side.
     """
-    if curve is None:
-        curve = SampledCurve.from_symbol(sym, r)
-    elif curve.sym != sym or curve.r != r:
-        raise RangeError("the start curve must be the curve of this symbol and radius")
-    curve = curve.refine_to_chord(min(grid.hx, grid.hy) / 4.0)
+    curve = SampledCurve.from_symbol(sym, r).refine_to_chord(min(grid.hx, grid.hy) / 4.0)
     pts = curve.points
     values = _polygon_windings(pts, grid.centers_x(), grid.centers_y())
     invalid = _proximity_mask(pts, grid, 2.0 * grid.cell_diag)

@@ -9,13 +9,15 @@ trace formula
 the index identity at points off the symbol curve, Brown's total-variation
 bound, and the r -> 1 moment convergence for truncated symbols.
 
-This module owns the coarse/fine density pair `MeasureDensity` and every
-grid integral over it.  A moment takes one grid: the midpoint rule with
-each masked cell weighted by its exact average winding, an O(h^2) rule,
-whose quad_err is the measured gap to the sampled curve's exact moment.
-The total variation needs |m| per cell, so it keeps masked cells at zero
-and combines the grid and its halving by Richardson, which removes the
-O(h) bias of the curve-proximity mask.
+This module owns the density `MeasureDensity`, one raster of one curve, and
+every grid integral over it.  Both integrals read each cell's average
+winding: the integer m on valid cells and the exact average `_coverage` of
+the sampled polygon on masked ones.  A moment takes the midpoint rule of
+J(p, q) weighted by those averages, an O(h^2) rule whose quad_err is the
+measured gap to the sampled curve's exact moment.  The total variation sums
+their moduli: exact for the polygon wherever m keeps one sign across a cell,
+as it does for every analytic and co-analytic symbol, and a lower bound on
+the few cells beside a self-crossing where m changes sign.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .degree import (GridSpec, MultiplicityGrid, SampledCurve, _coverage, default_grid,
-                     multiplicity_grid, winding)
+from .degree import (_START_POINTS, GridSpec, MultiplicityGrid, SampledCurve, _coverage,
+                     default_grid, multiplicity_grid, winding)
 from .errors import NonFiniteError, RangeError, WindingUndefined
 from .operators import _truncation, commutator_trace, schatten_norm, self_commutator
 from .poly import BivariatePolynomial, jacobian_bracket
@@ -39,25 +41,21 @@ __all__ = [
     "smoothing_limit_probe",
 ]
 
-_ABS_SUM_CELLS = 1 << 16  # cells per block of `_abs_sum`
 _MAX_MOMENT_DEGREE = 2048  # deg p + deg q; the contour rule solves a ~(degree / 2)^2 eigenproblem
 
 
-# -- the coarse/fine density pair -----------------------------------------------
+# -- the density -----------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class MeasureDensity:
     """Complex raster of the measure density (1/2 pi i) * m over a box.
 
-    ``values[j, i] = m[j, i] / (2 pi i)`` on valid cells of the coarse grid
-    and 0 on masked ones.  Moments use the coarse grid alone.  The optional
-    doubled-resolution companion ``fine`` turns the total variation into the
-    Richardson pair 2*fine - coarse, which removes the O(h) bias of the
-    curve-proximity mask; without it the coarse sum is reported as is.
+    ``values[j, i] = m[j, i] / (2 pi i)`` on valid cells of the grid and 0 on
+    masked ones.  Moments and the total variation also weigh masked cells by
+    their exact average winding, from the curve the grid was made of.
     """
 
     grid: MultiplicityGrid
-    fine: MultiplicityGrid | None = None
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -68,11 +66,11 @@ class MeasureDensity:
         return self.grid.masked_area_fraction
 
     def moment(self, p: BivariatePolynomial, q: BivariatePolynomial) -> tuple:
-        """(value, quad_err) of (1/2 pi i) int J(p, q) m dxdy on the coarse grid.
+        """(value, quad_err) of (1/2 pi i) int J(p, q) m dxdy on the grid.
 
-        J(p, q) is taken at the cell centers; valid cells weigh it by their
-        integer m, masked cells by their exact average winding (`_coverage`),
-        so the error is O(h^2).  quad_err is the gap to the exact moment of
+        J(p, q) is taken at the cell centers and weighed by each cell's
+        average winding (`_cell_windings`), so the error is O(h^2).
+        quad_err is the gap to the exact moment of
         the rasterized polygon, (1/2 pi i) times its contour integral of
         p dq (Green's theorem), which also shows any part of the curve that
         lies outside the box.  A sum beyond the float range raises
@@ -83,7 +81,7 @@ class MeasureDensity:
                              f" {_MAX_MOMENT_DEGREE} of the contour quadrature")
         mg = self.grid
         pts = mg.curve.points
-        cells = np.where(mg.invalid, _coverage(pts, mg.grid), mg.values)
+        cells = _cell_windings(mg)
         with np.errstate(over="ignore", invalid="ignore"):  # overflow shows below
             tot = float(np.sum(jacobian_bracket(p, q)(*mg.grid.mesh()) * cells))
             # p dq along each edge a + t d is a polynomial in t of degree
@@ -99,42 +97,26 @@ class MeasureDensity:
         value = complex(tot * mg.grid.cell_area / (2j * np.pi))
         return value, abs(value - exact / (2j * np.pi))
 
-    def tv(self) -> tuple:
-        """(extrapolated, coarse, fine) of the total variation int |m| / 2 pi."""
-        def total(mg: MultiplicityGrid) -> float:
-            return _abs_sum(mg.values) * mg.grid.cell_area / (2 * np.pi)
-        coarse = total(self.grid)
-        if self.fine is None:
-            return coarse, coarse, coarse
-        fine = total(self.fine)
-        return 2 * fine - coarse, coarse, fine
 
+def _cell_windings(mg: MultiplicityGrid) -> np.ndarray:
+    """Each cell's average winding: m on valid cells, `_coverage` on masked ones.
 
-def _abs_sum(values: np.ndarray) -> float:
-    """float(sum |values|) of an integer grid, taken over blocks of rows.
-
-    Every block sum is an exact integer, so this equals the sum over the
-    whole array without allocating a copy of it.
+    A fresh float64 array of the grid's shape on every call; it is not kept,
+    so a density holds no more than its integer raster.
     """
-    rows = max(1, _ABS_SUM_CELLS // values.shape[1])
-    return float(sum(int(np.abs(values[i:i + rows]).sum())
-                     for i in range(0, values.shape[0], rows)))
+    return np.where(mg.invalid, _coverage(mg.curve.points, mg.grid), mg.values)
 
 
 def hh_density(sym: FourierSymbol, r: float, grid: GridSpec,
                refine: bool = True) -> MeasureDensity:
     """Density of the measure of T_{phi_r} (or T_phi when r = 1) on grid.
 
-    With refine, phi_r is also rasterized on the halving of grid, for the
-    Richardson pair of the total variation.  Each grid masks within
-    twice its own cell diagonal, so the fine mask is half as wide.  The fine
-    grid refines the coarse grid's curve: its chord target is half the
-    coarse one, and uniform doubling from the coarse level gives the same
-    curve as doubling from the initial sampling.
+    One raster of one curve: `multiplicity_grid` masks within twice the cell
+    diagonal and keeps the refined curve it was made from.  ``refine`` is
+    accepted and ignored.
     """
-    coarse = multiplicity_grid(sym, r, grid)
-    fine = multiplicity_grid(sym, r, grid.refined(), coarse.curve) if refine else None
-    return MeasureDensity(coarse, fine)
+    # refine is ignored: the benchmark's density jobs (perfbench/workloads.py) still pass it
+    return MeasureDensity(multiplicity_grid(sym, r, grid))
 
 
 # -- the trace formula ------------------------------------------------------------
@@ -186,7 +168,7 @@ def trace_formula_check(sym: FourierSymbol, p: BivariatePolynomial,
             f"grid box must contain the closed disk of radius {reach:g}")
     sym_eff = sym.poisson_smooth(r) if r < 1.0 else sym
     lhs = commutator_trace(sym_eff, p, q, n_override)
-    density = hh_density(sym, r, grid, refine=False)
+    density = hh_density(sym, r, grid)
     rhs, quad_err = density.moment(p, q)
     return TraceFormulaReport(
         lhs=lhs, rhs=rhs, quad_err_estimate=quad_err,
@@ -197,28 +179,33 @@ def trace_formula_check(sym: FourierSymbol, p: BivariatePolynomial,
 # -- total variation and the index identity ----------------------------------------
 
 def total_variation(density: MeasureDensity) -> float:
-    """Total variation: sum over valid cells of |value| * cell_area.
+    """Total variation int |m| dxdy / 2 pi of the density, on its one grid.
 
-    Computed at the stored resolution and its halving, combined by
-    Richardson; the masked-area fraction is available on the density.
+    Sums |average winding| * cell_area over every cell (`_cell_windings`).
+    For the sampled polygon this is exact on each cell where m keeps one
+    sign, which holds on every cell of an analytic or co-analytic symbol;
+    on a cell beside a self-crossing where m changes sign, |average| is
+    below the average of |m|, so the result is a lower bound there.
     """
-    return density.tv()[0]
+    cells = _cell_windings(density.grid)
+    return float(np.sum(np.abs(cells, out=cells))) * density.grid.grid.cell_area / (2 * np.pi)
 
 
 def brown_bound_check(sym: FourierSymbol, r: float, grid: GridSpec | None = None):
     """Total variation against the trace-norm bound ||[T*, T]||_1 / 2.
 
     Returns (tv, bound, ok); both quantities refer to the same operator
-    T_{phi_r} (or T_phi at r = 1).
+    T_{phi_r} (or T_phi at r = 1).  tv is `total_variation`, exact for the
+    sampled polygon except on cells where m changes sign, where it can only
+    fall short; ok allows a fixed slack of 2e-3 for the polygon's chord error.
     """
     if grid is None:
         grid = default_grid(sym)
     sym_eff = sym.poisson_smooth(r) if r < 1.0 else sym
-    density = hh_density(sym, r, grid)
-    tv, coarse, _ = density.tv()
+    tv = total_variation(hh_density(sym, r, grid))
     n = max(sym_eff.band, 1)
     bound = schatten_norm(self_commutator(sym_eff, n), 1) / 2.0
-    ok = tv <= bound + (2e-3 + abs(coarse - tv))
+    ok = tv <= bound + 2e-3
     return tv, bound, ok
 
 
@@ -230,16 +217,25 @@ def index_check(sym: FourierSymbol, lam: complex, r: float,
     ok holds iff the density cell containing lam equals wind / (2 pi i)
     with wind the adaptively computed winding of the phi_r curve around
     lam; masked cells raise WindingUndefined.
+
+    The winding starts from the density's own curve, taken at every
+    (curve_points / _START_POINTS)-th sample: chord refinement keeps the
+    old points as the even ones, so these are bit for bit the start curve
+    `SampledCurve.from_symbol(sym, r)`, and no query samples it again.  A
+    density made from the curve of another symbol or radius raises RangeError.
     """
     if density is None:
         if grid is None:
             grid = default_grid(sym)
-        density = hh_density(sym, r, grid, refine=False)
-    cell_m = density.grid.value_at(lam)
+        density = hh_density(sym, r, grid)
+    mg = density.grid
+    if mg.curve.sym != sym or mg.curve.r != r:
+        raise RangeError("the density must be made from the curve of this symbol and radius")
+    cell_m = mg.value_at(lam)
     if cell_m is None:
         raise WindingUndefined(f"lambda = {lam} falls on a masked or outside cell")
-    curve = SampledCurve.from_symbol(sym, r)
-    wind = winding(curve, lam, density.grid.eps / 4.0)
+    curve = SampledCurve(sym, r, mg.curve.points[::max(1, mg.curve_points // _START_POINTS)])
+    wind = winding(curve, lam, mg.eps / 4.0)
     value = complex(cell_m / (2j * np.pi))
     return wind, value, (cell_m == wind)
 
@@ -292,7 +288,7 @@ def smoothing_limit_probe(sym: FourierSymbol, p: BivariatePolynomial,
     quad_errs = np.zeros(len(r_values))
     fractions = []
     for i, r in enumerate(r_values):
-        density = hh_density(sym, r, grid, refine=False)
+        density = hh_density(sym, r, grid)
         fractions.append(density.masked_area_fraction)
         moments[i], quad_errs[i] = density.moment(p, q)
     # operator side for the stored truncation; the discarded tail is noted

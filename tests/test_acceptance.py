@@ -214,7 +214,7 @@ def test_11_index_spot_checks():
                    FourierSymbol({1: 1.0, 2: 0.4, -1: 0.2})]
         for sym in symbols:
             grid = default_grid(sym, 250)
-            density = hh_density(sym, 1.0, grid, refine=False)
+            density = hh_density(sym, 1.0, grid)
             checked = 0
             tries = 0
             while checked < 20 and tries < 2000:

@@ -9,7 +9,7 @@ from hhmeasure.degree import (GridSpec, MultiplicityGrid, SampledCurve, _coverag
                               multiplicity_grid, preimage_multiplicity, winding)
 from hhmeasure.errors import (DegenerateRoot, NoConvergence, NonIntegerError, RangeError,
                               TailError, WindingUndefined)
-from hhmeasure.measure import hh_density, smoothing_limit_probe
+from hhmeasure.measure import smoothing_limit_probe
 from hhmeasure.poly import BivariatePolynomial as P
 from hhmeasure.symbols import _eval_extension
 
@@ -372,36 +372,6 @@ class TestInt32Raster:
         values = np.array([[0, 0], [big, 0]], dtype=np.int64)
         with pytest.raises(RangeError, match="int32"):
             MultiplicityGrid(self.GRID, values, self.VALID, CURVE)
-
-
-class TestCoarseCurveReuse:
-    def test_fine_grid_equals_fresh_raster(self, rng, monkeypatch):
-        sym = random_symbol(rng, 3)
-        grid = default_grid(sym, 70)
-        calls = []
-        from_symbol = SampledCurve.from_symbol
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return from_symbol(*args, **kwargs)
-
-        monkeypatch.setattr(SampledCurve, "from_symbol", counted)
-        pair = hh_density(sym, 0.9, grid)
-        assert len(calls) == 1
-        fresh = multiplicity_grid(sym, 0.9, grid.refined())
-        assert pair.fine.curve_points == fresh.curve_points
-        assert np.array_equal(pair.fine.values, fresh.values)
-        assert np.array_equal(pair.fine.invalid, fresh.invalid)
-
-    def test_curve_of_another_symbol_or_radius_rejected(self):
-        grid = GridSpec(-2, 2, -2, 2, 40, 40)
-        square = FourierSymbol({2: 1.0})
-        with pytest.raises(RangeError, match="start curve"):
-            multiplicity_grid(square, 0.5, grid, SampledCurve.from_symbol(SHIFT, 1.0))
-        with pytest.raises(RangeError, match="start curve"):
-            multiplicity_grid(square, 0.5, grid, SampledCurve.from_symbol(square, 1.0))
-        mg = multiplicity_grid(square, 0.5, grid, SampledCurve.from_symbol(square, 0.5))
-        assert mg.curve.sym == square and mg.curve.r == 0.5
 
 
 def shoelace(pts: np.ndarray) -> float:

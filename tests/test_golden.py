@@ -9,10 +9,11 @@ in CHANGES.md.  The trace-check and smooth-limit digests were re-recorded
 when moments moved from a masked Richardson pair to exact cell coverage on
 one grid.
 
-The raster pins hash the integer values and the mask of both grids of
+The raster pins hash the integer values and the mask of the grid of
 ``hh_density`` directly, so they see every cell, masked or not; they were
 recorded before the winding sweep and the proximity mask became edge- and
-offset-driven.
+offset-driven.  The total variation pins were recorded when it moved from a
+masked Richardson pair to exact cell coverage on that one grid.
 
 The split pins hash, over fixed seeded symbols, everything that reads the
 split Phi = F + conj(G): the extension, its Wirtinger derivatives and
@@ -34,9 +35,9 @@ from numpy.polynomial import polynomial as npoly
 from hhmeasure import FourierSymbol
 from hhmeasure.besov import besov_membership, jacobian_integrability
 from hhmeasure.cli import main
-from hhmeasure.degree import default_grid, preimage_multiplicity
+from hhmeasure.degree import _coverage, default_grid, preimage_multiplicity
 from hhmeasure.errors import HHMeasureError
-from hhmeasure.measure import hh_density
+from hhmeasure.measure import MeasureDensity, hh_density, total_variation
 from hhmeasure.operators import hankel_matrix, self_commutator
 from hhmeasure.symbols import _eval_extension, _jacobian, _wirtinger
 
@@ -172,39 +173,39 @@ RASTERS = {
     "conj": (FourierSymbol(SYMBOLS["conj"]), 1.0),
 }
 
-# sha256 of values.tobytes() + invalid.tobytes() of the (coarse, fine) grids,
-# with the values widened to int64 so that the digest pins the integers, not
-# the storage type
+# sha256 of values.tobytes() + invalid.tobytes() of the grid, with the values
+# widened to int64 so that the digest pins the integers, not the storage type
 RASTER_DIGESTS = {
-    "band2": ("a1686d571fbd5aa5bf8c50a714e9bb9d485239d0f300699b2d8a6e16de9a182e",
-              "7d1c80e490dcacb0ea4cb9cf566e249f27340479339ef9483d4ec93d68173480"),
-    "phase16-r0.9": ("041d7c5f1eed98c1fec0dd113e2789c2738f8c9e194fde6b54b40ad1088f9cce",
-                     "dcfb00fa3f561d33c7fac7965a2067a9e783db518797ff53a034cd5bc1db472b"),
-    "conj": ("88c424c9e50583707257f11d117fcf07a0614153d7a007c77fe9a5590b41108b",
-             "4739d8d3e076ee7c1e5c8b28efd6155e22f3ef47b3d37475bd497a28381b2c21"),
+    "band2": "a1686d571fbd5aa5bf8c50a714e9bb9d485239d0f300699b2d8a6e16de9a182e",
+    "phase16-r0.9": "041d7c5f1eed98c1fec0dd113e2789c2738f8c9e194fde6b54b40ad1088f9cce",
+    "conj": "88c424c9e50583707257f11d117fcf07a0614153d7a007c77fe9a5590b41108b",
+}
+
+# total_variation of each raster, .17g
+TV_PINS = {
+    "band2": "0.63999956075535624",
+    "phase16-r0.9": "1.8296952751445532",
+    "conj": "0.49999921563468336",
 }
 
 
 @pytest.mark.parametrize("name", sorted(RASTERS))
 def test_raster_digest(name):
     sym, r = RASTERS[name]
-    density = hh_density(sym, r, default_grid(sym, 200))
-    digests = tuple(hashlib.sha256(mg.values.astype(np.int64).tobytes()
-                                   + mg.invalid.tobytes()).hexdigest()
-                    for mg in (density.grid, density.fine))
-    assert digests == RASTER_DIGESTS[name]
+    mg = hh_density(sym, r, default_grid(sym, 200)).grid
+    digest = hashlib.sha256(mg.values.astype(np.int64).tobytes()
+                            + mg.invalid.tobytes()).hexdigest()
+    assert digest == RASTER_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(RASTERS))
 def test_tv_matches_full_array_sum(name):
     sym, r = RASTERS[name]
-    density = hh_density(sym, r, default_grid(sym, 200))
-
-    def full(mg):
-        return float(np.sum(np.abs(mg.values))) * mg.grid.cell_area / (2 * np.pi)
-
-    coarse, fine = full(density.grid), full(density.fine)
-    assert density.tv() == (2 * fine - coarse, coarse, fine)
+    mg = hh_density(sym, r, default_grid(sym, 200)).grid
+    tv = total_variation(MeasureDensity(mg))
+    cells = np.where(mg.invalid, _coverage(mg.curve.points, mg.grid), mg.values)
+    assert tv == float(np.sum(np.abs(cells))) * mg.grid.cell_area / (2 * np.pi)
+    assert format(tv, ".17g") == TV_PINS[name]
 
 
 # -- in-process pins of the split Phi = F + conj(G) and what reads it -----------

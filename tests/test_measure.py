@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from hhmeasure import FourierSymbol
 from hhmeasure import measure
-from hhmeasure.degree import GridSpec, default_grid
+from hhmeasure.degree import _START_POINTS, GridSpec, SampledCurve, default_grid
 from hhmeasure.errors import NonFiniteError, RangeError, WindingUndefined
 from hhmeasure.measure import (brown_bound_check, hh_density, index_check,
                                smoothing_limit_probe, total_variation,
@@ -33,6 +35,20 @@ class TestHHDensity:
         assert d.grid.value_at(0.0) == -1
         assert d.values[d.grid.grid.locate(0.0)] == pytest.approx(-1 / (2j * np.pi))
 
+    @pytest.mark.parametrize("refine", [True, False])
+    def test_one_raster_whatever_refine(self, monkeypatch, refine):
+        grids = []
+        raster = measure.multiplicity_grid
+
+        def counting(sym, r, grid):
+            grids.append(grid)
+            return raster(sym, r, grid)
+
+        monkeypatch.setattr(measure, "multiplicity_grid", counting)
+        d = hh_density(SHIFT, 1.0, SHIFT_GRID, refine=refine)
+        assert grids == [SHIFT_GRID] and d.grid.grid == SHIFT_GRID
+        assert [f.name for f in dataclasses.fields(d)] == ["grid"]
+
     def test_values_are_imaginary_rationals(self, rng):
         sym = random_symbol(rng, 2)
         d = hh_density(sym, 0.9, default_grid(sym, 50))
@@ -44,30 +60,8 @@ class TestHHDensity:
 class TestDensityPair:
     GRID = GridSpec(-1.5, 1.5, -1.5, 1.5, 150, 150)
 
-    def test_build_halves_eps_on_the_fine_grid(self):
-        d = hh_density(SHIFT, 1.0, self.GRID)
-        assert d.grid.grid == self.GRID and d.grid.eps == 2 * self.GRID.cell_diag
-        assert d.fine.grid == self.GRID.refined() and d.fine.eps == d.grid.eps / 2
-        assert hh_density(SHIFT, 1.0, self.GRID, refine=False).fine is None
-
-    def test_richardson_pair(self):
-        # the total variation keeps the pair; a moment takes the coarse grid alone
-        d = hh_density(SHIFT, 1.0, self.GRID)
-        tv, coarse, fine = d.tv()
-        assert tv == 2 * fine - coarse == total_variation(d)
-        moment, quad_err = d.moment(P.x(), P.y())            # J(x, y) = 1
-        assert moment == pytest.approx(-0.5j, abs=1e-5)       # area pi / (2 pi i)
-        assert quad_err < 1e-5
-
-    def test_coarse_only_reports_coarse(self):
-        d = hh_density(SHIFT, 1.0, self.GRID, refine=False)
-        tv, coarse, fine = d.tv()
-        assert tv == coarse == fine
-        p, q = P.monomial(2, 1), P.x() + P.monomial(0, 2)
-        assert d.moment(p, q) == hh_density(SHIFT, 1.0, self.GRID).moment(p, q)
-
     def test_values_computed_once(self):
-        d = hh_density(SHIFT, 1.0, self.GRID, refine=False)
+        d = hh_density(SHIFT, 1.0, self.GRID)
         assert d.values is d.values
         assert np.array_equal(d.values, d.grid.values / (2j * np.pi))
 
@@ -135,7 +129,7 @@ class TestTraceFormula:
 
     def test_moment_degree_guard(self):
         # the Gauss-Legendre rule for degree 2048 already solves a 1025 x 1025 eigenproblem
-        density = hh_density(SHIFT, 1.0, GridSpec(-2, 2, -2, 2, 8, 8), refine=False)
+        density = hh_density(SHIFT, 1.0, GridSpec(-2, 2, -2, 2, 8, 8))
         with pytest.raises(RangeError, match="2049 exceeds the 2048"):
             density.moment(P.monomial(2048, 0), P.y())
 
@@ -147,9 +141,9 @@ class TestOneGridMoment:
         grids = []
         raster = measure.multiplicity_grid
 
-        def counting(sym, r, grid, curve=None):
+        def counting(sym, r, grid):
             grids.append((r, grid))
-            return raster(sym, r, grid, curve)
+            return raster(sym, r, grid)
 
         monkeypatch.setattr(measure, "multiplicity_grid", counting)
         trace_formula_check(SHIFT, P.x(), P.y(), SHIFT_GRID, 1.0)
@@ -172,8 +166,8 @@ class TestOneGridMoment:
         exact = commutator_trace(self.BAND2, p, q)
         errs = []
         for n in (100, 200, 400):
-            value, quad_err = hh_density(self.BAND2, 1.0, default_grid(self.BAND2, n),
-                                         refine=False).moment(p, q)
+            value, quad_err = hh_density(self.BAND2, 1.0,
+                                         default_grid(self.BAND2, n)).moment(p, q)
             assert abs(value - exact) == pytest.approx(quad_err, rel=0.05)
             errs.append(quad_err)
         assert errs[0] / errs[1] >= 3 and errs[1] / errs[2] >= 3
@@ -193,12 +187,30 @@ class TestTotalVariation:
         d = hh_density(sym, 1.0, SHIFT_GRID)
         assert total_variation(d) == pytest.approx(1.0, abs=2e-3)
 
-    @pytest.mark.parametrize("shape", [(1, 5), (7, 3), (301, 7), (3, 50)])
-    def test_blocked_abs_sum_is_exact(self, monkeypatch, shape):
-        # 20 cells per block: several blocks, a ragged last one, and rows wider than a block
-        monkeypatch.setattr(measure, "_ABS_SUM_CELLS", 20)
-        values = np.random.default_rng(5).integers(-3, 4, size=shape)
-        assert measure._abs_sum(values) == float(np.sum(np.abs(values)))
+    # closed forms: sum k |c_k|^2 / 2 for analytic symbols, the area pi (1 - 0.5^2)
+    # over 2 pi for the ellipse, and the area 4/3 of the lemniscate of Gerono over
+    # 2 pi for the figure-eight, whose +1 and -1 lobes meet at the origin
+    CLOSED_FORMS = {
+        "shift": ({1: 1.0}, 0.5),
+        "band2": ({1: 1.0, 2: 0.3}, 0.59),
+        "square": ({2: 1.0}, 1.0),
+        "ellipse": ({1: 1.0, -1: 0.5}, 0.375),
+        "figure-eight": ({1: -0.5j, -1: 0.5j, 2: 0.25, -2: -0.25}, 2 / (3 * np.pi)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CLOSED_FORMS))
+    def test_closed_form_at_400(self, name):
+        coeffs, exact = self.CLOSED_FORMS[name]
+        sym = FourierSymbol(coeffs)
+        assert abs(total_variation(hh_density(sym, 1.0, default_grid(sym, 400))) - exact) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["shift", "figure-eight"])
+    def test_converges_at_h_squared(self, name):
+        coeffs, exact = self.CLOSED_FORMS[name]
+        sym = FourierSymbol(coeffs)
+        errs = [abs(total_variation(hh_density(sym, 1.0, default_grid(sym, n))) - exact)
+                for n in (100, 200, 400)]
+        assert errs[0] / errs[1] >= 3 and errs[1] / errs[2] >= 3
 
 
 class TestBrownBound:
@@ -268,6 +280,39 @@ class TestIndexCheck:
     def test_masked_point_raises(self):
         with pytest.raises(WindingUndefined):
             index_check(SHIFT, 1.0 + 0.0j, 1.0, SHIFT_GRID)
+
+    def test_start_curve_read_from_the_density(self, rng, monkeypatch):
+        sym = random_symbol(rng, 3)
+        grid = default_grid(sym, 400)
+        fresh = SampledCurve.from_symbol(sym, 0.9)
+        calls = []
+        from_symbol = SampledCurve.from_symbol
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return from_symbol(*args, **kwargs)
+
+        monkeypatch.setattr(SampledCurve, "from_symbol", counted)
+        density = hh_density(sym, 0.9, grid)
+        stride = density.grid.curve_points // _START_POINTS
+        assert stride > 1
+        start = np.ascontiguousarray(density.grid.curve.points[::stride])
+        assert np.array_equal(start.view(np.int64),
+                              fresh.points.view(np.int64))
+        lams = [complex(x, y) for x in grid.centers_x()[::50] for y in grid.centers_y()[::50]
+                if density.grid.value_at(complex(x, y)) is not None]
+        assert len(lams) > 10
+        assert all(index_check(sym, lam, 0.9, density=density)[2] for lam in lams)
+        assert len(calls) == 1
+
+    def test_density_of_another_curve_rejected(self):
+        square = FourierSymbol({2: 1.0})
+        grid = GridSpec(-2, 2, -2, 2, 200, 200)
+        for sym, r in [(SHIFT, 0.5), (square, 1.0)]:
+            with pytest.raises(RangeError, match="curve of this symbol and radius"):
+                index_check(square, 0.1, 0.5, density=hh_density(sym, r, grid))
+        wind, _, ok = index_check(square, 0.1, 0.5, density=hh_density(square, 0.5, grid))
+        assert wind == 2 and ok
 
 
 class TestSmoothingLimitProbe:

@@ -9,8 +9,10 @@ and counts were recorded and that uninstalling puts the originals back.
 `perfbench/workloads.py` checks every benchmark output, and a report whose
 shape it no longer reads would show up only as a failed benchmark run.  So
 its own checks run here, as the file is, on the reports of the trace
-formula and the r -> 1 probe: every ratio of an error to its tolerance must
-stay below 1, and no check may raise.
+formula and the r -> 1 probe and on the total-variation anchors of the
+density sweep: every ratio of an error to its tolerance must stay below 1,
+and no check may raise.  The anchors call `hh_density(..., refine=True)`, so
+this also fails if that keyword goes before the benchmark stops passing it.
 """
 
 import importlib.util
@@ -70,3 +72,13 @@ def test_cli_reports_pass_their_checks(tmp_path):
         assert main(argv + ["--symbol", shift, "--out", str(out)]) == 0
         ratios = check(out.read_bytes())
         assert len(ratios) == count and all(ratio < 1 for ratio in ratios)
+
+
+def test_density_anchor_jobs_pass_their_checks(tmp_path):
+    workloads = load("workloads")
+    names = [f"density-anchor{i}-400" for i in range(3)]
+    jobs = [j for j in workloads.density_jobs(3, tmp_path) if j.name in names]
+    assert [j.name for j in jobs] == names
+    for job in jobs:
+        ratios = job.check(job.run())
+        assert len(ratios) == 1 and ratios[0] < 1

@@ -7,15 +7,15 @@ bisection in `winding`.  Two independent routes lead to the same integers:
 * `winding` accumulates argument increments along an adaptively refined
   curve (the classical argument principle), one query point at a time.
 * `multiplicity_grid` rasterizes the winding number over a whole grid with
-  an exact crossing-count sweep driven by the polygon's edges: each edge is
-  expanded into the grid rows it crosses, the crossing orientations go into
-  a per-row difference array, and one reverse cumulative sum turns them into
-  windings.  The result is deterministic and integer-exact with respect to
-  the sampled polygon, and its cost grows with the crossings and the cells,
-  not with rows times edges.  Cells within eps of a curve sample are masked
-  by testing a fixed table of cell offsets around every sample.  `_coverage`
-  gives every cell's exact average winding instead, which the moments and
-  the total variation in `measure` read on masked cells.
+  `_coverage`, the accumulation rasterizer of font renderers: each edge is
+  cut at the grid lines, its pieces deposit their signed heights into a
+  per-row buffer, and one cumulative sum per row gives every cell's exact
+  average winding of the sampled polygon.  Cells within eps of a curve
+  sample are masked by testing a fixed table of cell offsets around every
+  sample; no edge enters any other cell, so there the average is the
+  integer winding up to rounding, and the raster stores it rounded.  The
+  masked cells keep their averages, which the moments and the total
+  variation in `measure` read.
 * `preimage_multiplicity` counts disk preimages with Jacobian signs and
   serves as the oracle for the degree identity wind(phi, w) = sum sgn J
   over preimages.  An exclusion quadtree discards every square on which the
@@ -216,7 +216,7 @@ def winding(curve: SampledCurve, lam: complex, eps: float) -> int:
     scaled by 1/16, which brings every difference below 2^1021 and, being a
     power of two, leaves the increments as they are.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise RangeError("separation eps must be positive")
     ang = np.append(curve.angles, 2 * np.pi)
     pts = np.append(curve.points, curve.points[0])
@@ -264,10 +264,12 @@ class MultiplicityGrid:
     """Integer raster of the signed multiplicity over a rectangle.
 
     ``values[j, i]`` belongs to the cell center (centers_x[i], centers_y[j]);
-    invalid cells (curve within eps of the center) carry no value and are
-    stored as 0 with the mask set.  ``curve`` is the refined curve the raster
-    was made from; eps, twice the cell diagonal, and the curve's point count
-    are derived from the grid and the curve.
+    invalid cells (curve within eps of the center) carry no integer and are
+    stored as 0 with the mask set.  ``masked_cover`` holds their exact
+    average windings, one per invalid cell in row-major order.  ``curve`` is
+    the refined curve the raster was made from; eps, twice the cell
+    diagonal, and the curve's point count are derived from the grid and the
+    curve.
 
     Values are stored as int32, which holds every winding of a sampled
     curve: |winding| is at most the edge count, and a curve has at most
@@ -279,6 +281,7 @@ class MultiplicityGrid:
     grid: GridSpec
     values: np.ndarray
     invalid: np.ndarray
+    masked_cover: np.ndarray
     curve: SampledCurve = field(repr=False)
 
     def __post_init__(self):
@@ -294,8 +297,12 @@ class MultiplicityGrid:
             raise RangeError(f"value/mask arrays must have shape {shape}")
         if np.any(vals[mask]):
             raise RangeError("invalid cells must store the value 0")
+        cover = np.asarray(self.masked_cover, dtype=np.float64)
+        if cover.shape != (np.count_nonzero(mask),):
+            raise RangeError("masked_cover must hold one average per invalid cell")
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "invalid", mask)
+        object.__setattr__(self, "masked_cover", cover)
 
     @cached_property
     def eps(self) -> float:
@@ -317,39 +324,6 @@ class MultiplicityGrid:
         return int(self.values[loc])
 
 
-def _polygon_windings(pts: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Exact winding numbers of a closed polygon around every grid center.
-
-    Ray casting to the right, driven by edges: an edge crosses the rows whose
-    center line lies in its half-open span [min(y1, y2), max(y1, y2)), which
-    two `searchsorted` calls find.  Each (edge, row) crossing adds its
-    orientation to a per-row difference array at the last cell center left
-    of the crossing abscissa; a reverse cumulative sum along each row then
-    gives the signed count of crossings strictly to the right of every center.
-    The raster is accumulated and returned in int32: no partial sum exceeds
-    the edge count, at most _MAX_CURVE_POINTS = 2^18.
-    """
-    x1, y1 = pts.real, pts.imag
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    first = np.searchsorted(cy, np.minimum(y1, y2), "left")
-    count = np.searchsorted(cy, np.maximum(y1, y2), "left") - first
-    edge = np.repeat(np.arange(pts.size), count)
-    # the crossing's row: its edge's first row plus its rank among that edge's crossings
-    row = np.arange(edge.size) + np.repeat(first - (np.cumsum(count) - count), count)
-    ex, ey = x1[edge], y1[edge]
-    t = (cy[row] - ey) / (y2[edge] - ey)
-    xs = ex + t * (x2[edge] - ex)
-    # k centers lie strictly left of the crossing; k = 0 counts for none
-    k = np.searchsorted(cx, xs, "left")
-    right = k > 0
-    out = np.zeros((cy.size, cx.size), dtype=np.int32)
-    sign = np.where(y2 > y1, np.int32(1), np.int32(-1))
-    np.add.at(out, (row[right], k[right] - 1), sign[edge[right]])
-    rev = out[:, ::-1]
-    np.cumsum(rev, axis=1, dtype=np.int32, out=rev)
-    return out
-
-
 def _coverage(pts: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Each cell's exact average of the winding number of the closed polygon pts.
 
@@ -362,7 +336,8 @@ def _coverage(pts: np.ndarray, grid: GridSpec) -> np.ndarray:
     do, so an edge has at most three pieces; for the same reason clamping
     the vertices to one cell beyond the box moves only edges that lie wholly
     outside it.  Pieces left of the box count in its first column, and
-    pieces right of it or outside its rows in none.
+    pieces right of it or outside its rows in none.  The result is float64
+    even when no piece falls in any row.
     """
     with np.errstate(over="ignore"):  # far vertices are clamped
         u = np.clip((pts.real - grid.x0) / grid.hx, -1.0, grid.nx + 1.0)
@@ -380,9 +355,11 @@ def _coverage(pts: np.ndarray, grid: GridSpec) -> np.ndarray:
     idx = (row[keep] * width + col[keep]).astype(np.int64)
     f = (um - col)[keep]
     height = -((t[1:] - t[:-1]) * dv)[keep]
-    acc = (np.bincount(idx, height * (1 - f), grid.ny * width)
-           + np.bincount(idx + 1, height * f, grid.ny * width))
-    return np.cumsum(acc.reshape(grid.ny, width), axis=1)[:, :grid.nx]
+    # bincount of no weights is int64
+    acc = np.bincount(idx, height * (1 - f), grid.ny * width).astype(np.float64, copy=False)
+    acc += np.bincount(idx + 1, height * f, grid.ny * width)
+    acc = acc.reshape(grid.ny, width)
+    return np.cumsum(acc, axis=1, out=acc)[:, :grid.nx]
 
 
 def _mask_reach(eps: float, h: float, lo: float, hi: float) -> float:
@@ -457,13 +434,21 @@ def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec) -> Multiplic
     masked invalid rather than aborting the grid.  The curve starts from
     `SampledCurve.from_symbol` and is refined until every chord is below a
     quarter of the smaller cell side.
+
+    One `_coverage` raster gives the integers and the masked cells' averages:
+    a valid cell's center lies more than eps from every sample, so no chord
+    of at most a quarter cell enters the cell, and its exact average is its
+    winding, which is stored rounded.  The mask runs first, since its
+    RangeError guards the cell sizes that `_coverage` divides by.
     """
     curve = SampledCurve.from_symbol(sym, r).refine_to_chord(min(grid.hx, grid.hy) / 4.0)
     pts = curve.points
-    values = _polygon_windings(pts, grid.centers_x(), grid.centers_y())
     invalid = _proximity_mask(pts, grid, 2.0 * grid.cell_diag)
+    cover = _coverage(pts, grid)
+    masked_cover = cover[invalid]
+    values = np.rint(cover, out=cover).astype(np.int32)
     values[invalid] = 0
-    return MultiplicityGrid(grid, values, invalid, curve)
+    return MultiplicityGrid(grid, values, invalid, masked_cover, curve)
 
 
 # -- preimage counting oracle ----------------------------------------------------------

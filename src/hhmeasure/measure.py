@@ -11,13 +11,14 @@ bound, and the r -> 1 moment convergence for truncated symbols.
 
 This module owns the density `MeasureDensity`, one raster of one curve, and
 every grid integral over it.  Both integrals read each cell's average
-winding: the integer m on valid cells and the exact average `_coverage` of
-the sampled polygon on masked ones.  A moment takes the midpoint rule of
-J(p, q) weighted by those averages, an O(h^2) rule whose quad_err is the
-measured gap to the sampled curve's exact moment.  The total variation sums
-their moduli: exact for the polygon wherever m keeps one sign across a cell,
-as it does for every analytic and co-analytic symbol, and a lower bound on
-the few cells beside a self-crossing where m changes sign.
+winding of the sampled polygon, from the raster's one `_coverage` pass: the
+integer m on valid cells and the stored exact average on masked ones.  A
+moment takes the midpoint rule of J(p, q) weighted by those averages, an
+O(h^2) rule whose quad_err is the measured gap to the sampled curve's exact
+moment.  The total variation sums their moduli: exact for the polygon
+wherever m keeps one sign across a cell, as it does for every analytic and
+co-analytic symbol, and a lower bound on the few cells beside a
+self-crossing where m changes sign.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .degree import (_START_POINTS, GridSpec, MultiplicityGrid, SampledCurve, _coverage,
-                     default_grid, multiplicity_grid, winding)
+from .degree import (_START_POINTS, GridSpec, MultiplicityGrid, SampledCurve, default_grid,
+                     multiplicity_grid, winding)
 from .errors import NonFiniteError, RangeError, WindingUndefined
 from .operators import _truncation, commutator_trace, schatten_norm, self_commutator
 from .poly import BivariatePolynomial, jacobian_bracket
@@ -52,7 +53,7 @@ class MeasureDensity:
 
     ``values[j, i] = m[j, i] / (2 pi i)`` on valid cells of the grid and 0 on
     masked ones.  Moments and the total variation also weigh masked cells by
-    their exact average winding, from the curve the grid was made of.
+    their exact average winding, which the grid keeps.
     """
 
     grid: MultiplicityGrid
@@ -99,12 +100,15 @@ class MeasureDensity:
 
 
 def _cell_windings(mg: MultiplicityGrid) -> np.ndarray:
-    """Each cell's average winding: m on valid cells, `_coverage` on masked ones.
+    """Each cell's average winding: m on valid cells, ``masked_cover`` on masked ones.
 
-    A fresh float64 array of the grid's shape on every call; it is not kept,
-    so a density holds no more than its integer raster.
+    A fresh float64 array of the grid's shape on every call, built from what
+    the raster stores; no cell is rasterized again.  It is not kept, so a
+    density holds its integer raster and the masked cells' averages only.
     """
-    return np.where(mg.invalid, _coverage(mg.curve.points, mg.grid), mg.values)
+    cells = mg.values.astype(np.float64)
+    cells[mg.invalid] = mg.masked_cover
+    return cells
 
 
 def hh_density(sym: FourierSymbol, r: float, grid: GridSpec,

@@ -38,4 +38,4 @@ def test_curve_raster_and_density_compare_by_identity():
 def test_curve_and_raster_fields():
     assert [f.name for f in fields(hhmeasure.SampledCurve)] == ["sym", "r", "points"]
     assert [f.name for f in fields(hhmeasure.MultiplicityGrid)] == [
-        "grid", "values", "invalid", "curve"]
+        "grid", "values", "invalid", "masked_cover", "curve"]

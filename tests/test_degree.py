@@ -5,8 +5,8 @@ from hhmeasure import FourierSymbol
 from hhmeasure.besov import jacobian_integrability
 from hhmeasure import degree
 from hhmeasure.degree import (GridSpec, MultiplicityGrid, SampledCurve, _coverage,
-                              _polygon_windings, _proximity_mask, default_grid,
-                              multiplicity_grid, preimage_multiplicity, winding)
+                              _proximity_mask, default_grid, multiplicity_grid,
+                              preimage_multiplicity, winding)
 from hhmeasure.errors import (DegenerateRoot, NoConvergence, NonIntegerError, RangeError,
                               TailError, WindingUndefined)
 from hhmeasure.measure import smoothing_limit_probe
@@ -45,6 +45,12 @@ class TestWinding:
         # 8 samples force bisection near the query point
         curve = SampledCurve.from_symbol(SHIFT, 1.0, n=8)
         assert winding(curve, 0.9, 1e-4) == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_nan_eps_rejected(self):
+        curve = SampledCurve.from_symbol(SHIFT, 1.0)
+        with pytest.raises(RangeError, match="eps"):
+            winding(curve, 1 + 0j, float("nan"))
 
     def test_separation_failure(self):
         curve = SampledCurve.from_symbol(SHIFT, 1.0, n=4096)
@@ -110,6 +116,12 @@ class TestMultiplicityGrid:
             checked += 1
         assert checked > 10
 
+    @pytest.mark.filterwarnings("error")
+    def test_mask_guard_runs_before_the_raster(self):
+        # a 1e308-tall cell overflows the mask's squared distances and the raster's divisions
+        with pytest.raises(RangeError, match="squared distances overflow"):
+            multiplicity_grid(SHIFT, 1.0, GridSpec(0.0, 1.0, 0.5, 1e308, 1, 1))
+
     def test_truncation_rejected_at_r1(self):
         sym = FourierSymbol({1: 1.0}, tail_bound=0.1)
         with pytest.raises(TailError):
@@ -161,16 +173,38 @@ def random_polygon(rng, n, spread=1.0):
     return spread * (rng.normal(size=n) + 1j * rng.normal(size=n))
 
 
+def subdivide(pts, step):
+    """The closed polygon pts, each edge cut into equal pieces of at most step."""
+    d = np.roll(pts, -1) - pts
+    k = np.maximum(np.ceil(np.abs(d) / step), 1).astype(np.int64)
+    edge = np.repeat(np.arange(pts.size), k)
+    frac = (np.arange(edge.size) - np.repeat(np.cumsum(k) - k, k)) / k[edge]
+    return pts[edge] + frac * d[edge]
+
+
 class TestRasterKernels:
-    """The edge-driven sweep and the offset-table mask give the exact integers."""
+    """The coverage raster, rounded, and the offset-table mask give the exact integers.
+
+    Each polygon is cut into edges of at most a quarter cell, as
+    `multiplicity_grid` refines its curves, which keeps its shape; on every
+    cell whose center lies beyond a cell diagonal of all its vertices the
+    rounded coverage must equal the crossing count of the original polygon.
+    Windings are checked on FINE, whose cells are a third of GRID's each way,
+    so that every center of GRID is also one of FINE.
+    """
 
     GRID = GridSpec(-1.5, 1.5, -1.25, 1.25, 23, 19)
+    FINE = GridSpec(-1.5, 1.5, -1.25, 1.25, 69, 57)
 
-    def check_windings(self, pts, grid=GRID):
-        cx, cy = grid.centers_x(), grid.centers_y()
-        got = _polygon_windings(pts, cx, cy)
-        assert got.shape == (grid.ny, grid.nx)
-        assert np.array_equal(got, row_sweep_windings(pts, cx, cy))
+    def check_windings(self, pts, grid=FINE):
+        fine = subdivide(pts, min(grid.hx, grid.hy) / 4)
+        got = _coverage(fine, grid)
+        assert got.shape == (grid.ny, grid.nx) and got.dtype == np.float64
+        valid = ~_proximity_mask(fine, grid, grid.cell_diag)
+        assert valid.sum() >= grid.nx * grid.ny // 5
+        ref = row_sweep_windings(pts, grid.centers_x(), grid.centers_y())
+        assert np.max(np.abs(got[valid] - ref[valid]), initial=0) <= 1e-9
+        assert np.array_equal(np.rint(got[valid]), ref[valid])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_polygons(self, seed):
@@ -345,13 +379,21 @@ class TestMaskedCellsStoreZero:
         grid = GridSpec(0, 1, 0, 1, 2, 2)
         invalid = np.array([[True, False], [False, False]])
         with pytest.raises(RangeError, match="invalid cells"):
-            MultiplicityGrid(grid, np.ones((2, 2)), invalid, CURVE)
-        MultiplicityGrid(grid, np.array([[0, 1], [1, 1]]), invalid, CURVE)
+            MultiplicityGrid(grid, np.ones((2, 2)), invalid, [0.5], CURVE)
+        MultiplicityGrid(grid, np.array([[0, 1], [1, 1]]), invalid, [0.5], CURVE)
+
+    @pytest.mark.parametrize("cover", [[], [0.5, 0.5], [[0.5]]])
+    def test_one_average_per_masked_cell(self, cover):
+        grid = GridSpec(0, 1, 0, 1, 2, 2)
+        invalid = np.array([[True, False], [False, False]])
+        with pytest.raises(RangeError, match="masked_cover"):
+            MultiplicityGrid(grid, np.zeros((2, 2)), invalid, cover, CURVE)
 
 
 class TestInt32Raster:
     GRID = GridSpec(0, 1, 0, 1, 2, 2)
     VALID = np.zeros((2, 2), dtype=bool)
+    NONE_MASKED = np.zeros(0)
 
     def test_raster_is_int32(self):
         mg = multiplicity_grid(SHIFT, 1.0, GridSpec(-1.5, 1.5, -1.5, 1.5, 20, 20))
@@ -359,11 +401,12 @@ class TestInt32Raster:
 
     def test_int32_values_kept_without_copy(self):
         values = np.array([[0, 1], [-2, 3]], dtype=np.int32)
-        assert MultiplicityGrid(self.GRID, values, self.VALID, CURVE).values is values
+        mg = MultiplicityGrid(self.GRID, values, self.VALID, self.NONE_MASKED, CURVE)
+        assert mg.values is values
 
     def test_wider_integers_converted(self):
         values = np.array([[0, 2 ** 31 - 1], [-2 ** 31, 3]], dtype=np.int64)
-        mg = MultiplicityGrid(self.GRID, values, self.VALID, CURVE)
+        mg = MultiplicityGrid(self.GRID, values, self.VALID, self.NONE_MASKED, CURVE)
         assert mg.values.dtype == np.int32
         assert np.array_equal(mg.values, values)
 
@@ -371,7 +414,7 @@ class TestInt32Raster:
     def test_out_of_range_rejected(self, big):
         values = np.array([[0, 0], [big, 0]], dtype=np.int64)
         with pytest.raises(RangeError, match="int32"):
-            MultiplicityGrid(self.GRID, values, self.VALID, CURVE)
+            MultiplicityGrid(self.GRID, values, self.VALID, self.NONE_MASKED, CURVE)
 
 
 def shoelace(pts: np.ndarray) -> float:
@@ -383,7 +426,7 @@ COVERAGE_SYMBOLS = [random_symbol(np.random.default_rng(band), band) for band in
 
 
 class TestCoverage:
-    """Exact cell averages of the polygon's winding, against the integer raster."""
+    """Exact cell averages of the polygon's winding, against the crossing count."""
 
     @pytest.mark.parametrize("r", [1.0, 0.9])
     @pytest.mark.parametrize("idx", range(len(COVERAGE_SYMBOLS)))
@@ -393,7 +436,9 @@ class TestCoverage:
         mg = multiplicity_grid(sym, r, grid)
         cov = _coverage(mg.curve.points, grid)
         valid = ~mg.invalid
-        assert np.max(np.abs(cov[valid] - mg.values[valid])) <= 1e-9
+        ref = row_sweep_windings(mg.curve.points, grid.centers_x(), grid.centers_y())
+        assert np.max(np.abs(cov[valid] - ref[valid])) <= 1e-9
+        assert np.array_equal(mg.values[valid], ref[valid])
         area = shoelace(mg.curve.points)
         assert abs(cov.sum() * grid.cell_area - area) <= 1e-9 * abs(area)
 
@@ -417,6 +462,15 @@ class TestCoverage:
         assert np.max(np.abs(cut - _coverage(full.curve.points, full.grid)[rows, cols])) <= 1e-12
         valid = ~full.invalid[rows, cols]
         assert np.max(np.abs(cut[valid] - full.values[rows, cols][valid]), initial=0) <= 1e-9
+
+    def test_float64_when_no_piece_meets_a_row(self):
+        # the zero symbol's curve is the origin, below the box's one row
+        grid = GridSpec(0, 1, 0.25, 0.5, 1, 1)
+        zero = SampledCurve.from_symbol(FourierSymbol({}), 1.0)
+        cov = _coverage(zero.points, grid)
+        assert cov.dtype == np.float64 and np.array_equal(cov, [[0.0]])
+        mg = multiplicity_grid(FourierSymbol({}), 1.0, grid)
+        assert mg.values.dtype == np.int32 and np.array_equal(mg.values, [[0]])
 
     @pytest.mark.filterwarnings("error")
     def test_far_vertices_are_clamped(self):

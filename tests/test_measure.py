@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hhmeasure import FourierSymbol
-from hhmeasure import measure
-from hhmeasure.degree import _START_POINTS, GridSpec, SampledCurve, default_grid
+from hhmeasure import degree, measure
+from hhmeasure.degree import _START_POINTS, GridSpec, SampledCurve, _coverage, default_grid
 from hhmeasure.errors import NonFiniteError, RangeError, WindingUndefined
 from hhmeasure.measure import (brown_bound_check, hh_density, index_check,
                                smoothing_limit_probe, total_variation,
@@ -64,6 +64,30 @@ class TestDensityPair:
         d = hh_density(SHIFT, 1.0, self.GRID)
         assert d.values is d.values
         assert np.array_equal(d.values, d.grid.values / (2j * np.pi))
+
+    @pytest.mark.parametrize("coeffs, r", [({1: 1.0}, 1.0), ({1: 1.0, 2: 0.4, -1: 0.2}, 0.9),
+                                           ({1: -0.5j, -1: 0.5j, 2: 0.25, -2: -0.25}, 1.0)])
+    def test_cell_windings_from_the_stored_raster(self, coeffs, r):
+        mg = hh_density(FourierSymbol(coeffs), r, self.GRID).grid
+        cells = measure._cell_windings(mg)
+        fresh = np.where(mg.invalid, _coverage(mg.curve.points, mg.grid), mg.values)
+        assert cells.dtype == np.float64 and mg.invalid.any()
+        assert np.array_equal(cells.view(np.uint64), fresh.view(np.uint64))
+
+    def test_one_coverage_pass_per_density(self, monkeypatch):
+        grids = []
+        coverage = degree._coverage
+
+        def counting(pts, grid):
+            grids.append(grid)
+            return coverage(pts, grid)
+
+        monkeypatch.setattr(degree, "_coverage", counting)
+        d = hh_density(FourierSymbol({1: 1.0, 2: 0.4, -1: 0.2}), 1.0, self.GRID)
+        d.moment(P.x(), P.y())
+        d.moment(P.monomial(2, 1), P.y())
+        total_variation(d)
+        assert grids == [self.GRID]
 
 
 class TestTraceFormula:

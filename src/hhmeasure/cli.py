@@ -167,17 +167,23 @@ def _cell_codes(density: MeasureDensity) -> tuple:
     """(codes, table): each cell's code and, per code, its (re, im, valid).
 
     Cells share a code iff they share multiplicity and validity, and so share
-    the bytes of their values; the table formats each code once, from its
-    first cell.  Codes come from the integers, not the complex values, which
-    would merge 0.0 and -0.0.
+    the bytes of their values.  A cell's key is 2 m + valid, and its code the
+    rank of its key among the keys present, counted over their small range
+    without sorting the cells.  The table formats each code once, from m
+    divided by 2 pi i as an int32 array, the operation that gives
+    `MeasureDensity.values`.  Codes come from the integers, not the complex
+    values, which would merge 0.0 and -0.0.
     """
     mg = density.grid
     key = (mg.values * 2 + ~mg.invalid).ravel()
-    _, first, codes = np.unique(key, return_index=True, return_inverse=True)
-    values = density.values.ravel()[first]
-    table = [(_fmt(v.real), _fmt(v.imag), bool(k & 1))
-             for v, k in zip(values, key[first].tolist())]
-    return codes.reshape(mg.invalid.shape), table
+    low = key.min()
+    key -= low
+    present = np.bincount(key) > 0
+    keys = np.flatnonzero(present) + low
+    values = (keys >> 1).astype(np.int32) / (2j * np.pi)
+    table = [(_fmt(v.real), _fmt(v.imag), bool(k & 1)) for v, k in zip(values, keys.tolist())]
+    rank = np.cumsum(present) - 1
+    return rank[key].reshape(mg.invalid.shape), table
 
 
 def _csv_rows(head: str, sx: list, sy: list, codes: np.ndarray, table: list):

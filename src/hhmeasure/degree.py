@@ -8,14 +8,17 @@ bisection in `winding`.  Two independent routes lead to the same integers:
   curve (the classical argument principle), one query point at a time.
 * `multiplicity_grid` rasterizes the winding number over a whole grid with
   `_coverage`, the accumulation rasterizer of font renderers: each edge is
-  cut at the grid lines, its pieces deposit their signed heights into a
-  per-row buffer, and one cumulative sum per row gives every cell's exact
-  average winding of the sampled polygon.  Cells within eps of a curve
-  sample are masked by testing a fixed table of cell offsets around every
-  sample; no edge enters any other cell, so there the average is the
-  integer winding up to rounding, and the raster stores it rounded.  The
-  masked cells keep their averages, which the moments and the total
-  variation in `measure` read.
+  cut at the grid lines, its pieces deposit their signed heights into the
+  cells they meet and the next ones along their rows, and a running sum
+  over each row's touched cells gives every cell's exact average winding
+  of the sampled polygon, constant from one touched cell to the next.  So
+  the float work scales with the curve, not the grid, and the integers are
+  filled in runs.  Cells within eps of a curve sample are masked by
+  testing a fixed table of cell offsets around every sample; no edge
+  enters any other cell, so there the average is the integer winding up
+  to rounding, and the raster stores it rounded.  The masked cells keep
+  their averages, which the moments and the total variation in `measure`
+  read.
 * `preimage_multiplicity` counts disk preimages with Jacobian signs and
   serves as the oracle for the degree identity wind(phi, w) = sum sgn J
   over preimages.  An exclusion quadtree discards every square on which the
@@ -324,20 +327,38 @@ class MultiplicityGrid:
         return int(self.values[loc])
 
 
-def _coverage(pts: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Each cell's exact average of the winding number of the closed polygon pts.
+def _coverage(pts: np.ndarray, grid: GridSpec) -> tuple:
+    """Each cell's exact average of the winding number of the closed polygon pts, as row runs.
 
     The accumulation rasterizer of font renderers, in cell units: every edge
     is cut at the grid lines it crosses, and a piece of signed height dv and
     mean abscissa f within its cell adds -dv (1 - f) to that cell and -dv f to
-    the next one of its row; one cumulative sum along each row then gives
-    -dv for every cell right of the piece.  Edges must span at most one cell
-    each way, as the chords of at most a quarter cell of `multiplicity_grid`
-    do, so an edge has at most three pieces; for the same reason clamping
-    the vertices to one cell beyond the box moves only edges that lie wholly
+    the next one of its row; a running sum along each row then gives -dv for
+    every cell right of the piece.  Edges must span at most one cell each
+    way, as the chords of at most a quarter cell of `multiplicity_grid` do,
+    so an edge has at most three pieces; for the same reason clamping the
+    vertices to one cell beyond the box moves only edges that lie wholly
     outside it.  Pieces left of the box count in its first column, and
-    pieces right of it or outside its rows in none.  The result is float64
-    even when no piece falls in any row.
+    pieces right of it or outside its rows in none.
+
+    Only pieces of nonzero height are kept, and only the cells they deposit
+    into carry float work: each such cell's deposits are summed by
+    `bincount` on a compact index, in piece order, and each row's running
+    sum is taken over its touched cells alone, as one `cumsum` along the rows
+    of a pad as wide as the most touched row (at worst the dense grid).
+    Returns (starts, averages): row-major runs of the ny x (nx + 1) cell
+    layout, where the run opening at flat index starts[i] holds averages[i]
+    up to the next start.  Every row opens with a run of 0.0 at its first
+    column, and a run at column nx lies right of the box.
+
+    The averages are bit-identical to those of a dense buffer of every cell,
+    filled by the same two `bincount`s and summed by one `cumsum` per row.
+    Each touched cell sums the same deposits in the same order, and each row
+    adds its touched cells in the same order.  What the dense buffer adds
+    besides leaves every sum as it is: a piece of zero height deposits
+    +-0.0 and an untouched cell +0.0, and no sum is -0.0, since each one
+    starts at +0.0 and a round-to-nearest sum is -0.0 only when both its
+    terms are.
     """
     with np.errstate(over="ignore"):  # far vertices are clamped
         u = np.clip((pts.real - grid.x0) / grid.hx, -1.0, grid.nx + 1.0)
@@ -350,16 +371,53 @@ def _coverage(pts: np.ndarray, grid: GridSpec) -> np.ndarray:
     mid = (t[1:] + t[:-1]) / 2
     um, vm = np.maximum(u + mid * du, 0.0), v + mid * dv
     col, row = np.floor(um), np.floor(vm)
-    keep = (row >= 0) & (row < grid.ny) & (col < grid.nx)
+    height = -((t[1:] - t[:-1]) * dv)
+    keep = (height != 0) & (row >= 0) & (row < grid.ny) & (col < grid.nx)
     width = grid.nx + 1
-    idx = (row[keep] * width + col[keep]).astype(np.int64)
+    key = (row[keep] * width + col[keep]).astype(np.int64)
     f = (um - col)[keep]
-    height = -((t[1:] - t[:-1]) * dv)[keep]
-    # bincount of no weights is int64
-    acc = np.bincount(idx, height * (1 - f), grid.ny * width).astype(np.float64, copy=False)
-    acc += np.bincount(idx + 1, height * f, grid.ny * width)
-    acc = acc.reshape(grid.ny, width)
-    return np.cumsum(acc, axis=1, out=acc)[:, :grid.nx]
+    height = height[keep]
+    touched = np.zeros(grid.ny * width, dtype=bool)
+    touched[key] = touched[key + 1] = True
+    cells = np.flatnonzero(touched)
+    at = np.searchsorted(cells, key)  # key + 1 is the next touched cell
+    # bincount of no pieces is int64
+    acc = np.bincount(at, height * (1 - f), cells.size).astype(np.float64, copy=False)
+    acc += np.bincount(at + 1, height * f, cells.size)
+    rows = cells // width
+    counts = np.bincount(rows, minlength=grid.ny)
+    rank = np.arange(cells.size) - (np.cumsum(counts) - counts)[rows]  # within its row
+    # one pad row per grid row, its touched cells in order; the trailing zeros are not read
+    pad = np.zeros((grid.ny, counts.max()))
+    pad[rows, rank] = acc
+    np.cumsum(pad, axis=1, out=pad)
+    # each row's opening run, then one run per touched cell
+    opening = np.cumsum(counts + 1) - (counts + 1)
+    run = opening[rows] + rank + 1
+    starts = np.empty(grid.ny + cells.size, dtype=np.int64)
+    averages = np.zeros(grid.ny + cells.size)
+    starts[opening] = np.arange(grid.ny) * width
+    starts[run] = cells
+    averages[run] = pad[rows, rank]
+    return starts, averages
+
+
+def _rasterize(pts: np.ndarray, grid: GridSpec, invalid: np.ndarray) -> tuple:
+    """(values, masked_cover) of the closed polygon pts on grid, from one `_coverage` pass.
+
+    ``values`` holds every cell's average rounded to int32, with 0 on the
+    invalid cells, filled run by run; ``masked_cover`` holds each invalid
+    cell's average in row-major order, read from the run it lies in, the
+    last one that opens at or left of it in its row.
+    """
+    starts, averages = _coverage(pts, grid)
+    # a run at column c of row j opens at j * nx + c of the values; column nx closes row j
+    lengths = np.diff(starts - starts // (grid.nx + 1), append=grid.ny * grid.nx)
+    values = np.repeat(np.rint(averages).astype(np.int32), lengths)
+    masked = np.flatnonzero(invalid)
+    values[masked] = 0
+    masked_cover = averages[np.searchsorted(starts, masked + masked // grid.nx, side="right") - 1]
+    return values.reshape(grid.ny, grid.nx), masked_cover
 
 
 def _mask_reach(eps: float, h: float, lo: float, hi: float) -> float:
@@ -435,19 +493,17 @@ def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec) -> Multiplic
     `SampledCurve.from_symbol` and is refined until every chord is below a
     quarter of the smaller cell side.
 
-    One `_coverage` raster gives the integers and the masked cells' averages:
-    a valid cell's center lies more than eps from every sample, so no chord
-    of at most a quarter cell enters the cell, and its exact average is its
-    winding, which is stored rounded.  The mask runs first, since its
-    RangeError guards the cell sizes that `_coverage` divides by.
+    One `_coverage` pass, filled out by `_rasterize`, gives the integers and
+    the masked cells' averages: a valid cell's center lies more than eps from
+    every sample, so no chord of at most a quarter cell enters the cell, and
+    its exact average is its winding, which is stored rounded.  The mask runs
+    first, since its RangeError guards the cell sizes that `_coverage`
+    divides by.
     """
     curve = SampledCurve.from_symbol(sym, r).refine_to_chord(min(grid.hx, grid.hy) / 4.0)
     pts = curve.points
     invalid = _proximity_mask(pts, grid, 2.0 * grid.cell_diag)
-    cover = _coverage(pts, grid)
-    masked_cover = cover[invalid]
-    values = np.rint(cover, out=cover).astype(np.int32)
-    values[invalid] = 0
+    values, masked_cover = _rasterize(pts, grid, invalid)
     return MultiplicityGrid(grid, values, invalid, masked_cover, curve)
 
 

@@ -1,7 +1,13 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hhmeasure import FourierSymbol
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def random_symbol(rng, band, unit_coeffs=True, real=False):
@@ -22,6 +28,72 @@ def random_symbol(rng, band, unit_coeffs=True, real=False):
         sym[0] = complex(coeffs.get(0, 0)).real
         return FourierSymbol(sym, real_valued=True)
     return FourierSymbol(coeffs)
+
+
+def load_perfbench(name):
+    """A fresh copy of perfbench/<name>.py, registered in sys.modules for its dataclasses."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def row_sweep_windings(pts, cx, cy):
+    """Reference winding raster: one crossing-count sweep per grid row.
+
+    For each row, the edges crossing its center line (half-open rule) are
+    sorted by crossing abscissa; a center's winding is the signed count of
+    crossings strictly to its right.
+    """
+    x1, y1 = pts.real, pts.imag
+    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
+    out = np.zeros((cy.size, cx.size), dtype=np.int64)
+    for j, yc in enumerate(cy):
+        below1 = y1 <= yc
+        cross = below1 != (y2 <= yc)
+        if not np.any(cross):
+            continue
+        sgn = np.where(below1[cross], 1, -1)
+        t = (yc - y1[cross]) / (y2[cross] - y1[cross])
+        xs = x1[cross] + t * (x2[cross] - x1[cross])
+        order = np.argsort(xs, kind="stable")
+        xs = xs[order]
+        prefix = np.concatenate(([0], np.cumsum(sgn[order])))
+        idx = np.searchsorted(xs, cx, side="right")
+        out[j] = prefix[-1] - prefix[idx]
+    return out
+
+
+def dense_coverage(pts, grid):
+    """Reference coverage raster: a dense ny x (nx + 1) buffer and one cumulative sum per row.
+
+    Every cell's exact average of the winding number of the closed polygon
+    pts, with the cutting, clamping and deposits of `degree._coverage`, but
+    summed over every cell of the grid: the pieces' deposits go into the
+    buffer by two `bincount`s, and `cumsum` runs along each row.
+    """
+    with np.errstate(over="ignore"):  # far vertices are clamped
+        u = np.clip((pts.real - grid.x0) / grid.hx, -1.0, grid.nx + 1.0)
+        v = np.clip((pts.imag - grid.y0) / grid.hy, -1.0, grid.ny + 1.0)
+    du, dv = np.roll(u, -1) - u, np.roll(v, -1) - v
+    # the parameter of the one vertical and one horizontal grid line an edge may cross
+    tx, ty = (np.clip((np.floor(np.maximum(a, a + d)) - a) / np.where(d != 0, d, 1.0), 0, 1)
+              for a, d in ((u, du), (v, dv)))
+    t = np.stack([np.zeros_like(u), np.minimum(tx, ty), np.maximum(tx, ty), np.ones_like(u)])
+    mid = (t[1:] + t[:-1]) / 2
+    um, vm = np.maximum(u + mid * du, 0.0), v + mid * dv
+    col, row = np.floor(um), np.floor(vm)
+    keep = (row >= 0) & (row < grid.ny) & (col < grid.nx)
+    width = grid.nx + 1
+    idx = (row[keep] * width + col[keep]).astype(np.int64)
+    f = (um - col)[keep]
+    height = -((t[1:] - t[:-1]) * dv)[keep]
+    # bincount of no weights is int64
+    acc = np.bincount(idx, height * (1 - f), grid.ny * width).astype(np.float64, copy=False)
+    acc += np.bincount(idx + 1, height * f, grid.ny * width)
+    acc = acc.reshape(grid.ny, width)
+    return np.cumsum(acc, axis=1, out=acc)[:, :grid.nx]
 
 
 @pytest.fixture

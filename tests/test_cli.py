@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from hhmeasure import cli, errors
+from hhmeasure import FourierSymbol, cli, errors
 from hhmeasure.cli import main
+from hhmeasure.degree import default_grid
+from hhmeasure.measure import hh_density
 
 
 @pytest.fixture
@@ -92,6 +94,29 @@ class TestMeasure:
         assert diagnostic["error"] == "NonIntegerError"
         assert diagnostic["message"].endswith("above target 0.025 at 1024 points")
         assert sampled == [1024]
+
+    @pytest.mark.parametrize("coeffs, r, n", [
+        ({1: 1.0, 2: 0.4, -1: 0.2}, 1.0, 300),                   # m = 0, 1, 2 and masked cells
+        ({1: -0.5j, -1: 0.5j, 2: 0.25, -2: -0.25}, 1.0, 200),    # figure-eight, m = +1 and -1
+        ({-3: 1.0}, 0.9, 120),                                    # m = -3 .. 0
+        ({}, 1.0, 7),                                             # one code, no masked cell
+    ])
+    def test_cell_codes_keep_the_density_bytes(self, coeffs, r, n):
+        sym = FourierSymbol(coeffs)
+        density = hh_density(sym, r, default_grid(sym, n))
+        mg = density.grid
+        codes, table = cli._cell_codes(density)
+        # numbered as the sorted distinct keys, as np.unique numbers them
+        key = mg.values * 2 + ~mg.invalid
+        assert np.array_equal(codes, np.unique(key, return_inverse=True)[1].reshape(key.shape))
+        assert len(table) == codes.max() + 1
+        for code, (re, im, valid) in enumerate(table):
+            at = codes == code
+            # every cell of the code holds the same value, down to its bytes, and the table formats it
+            same = np.unique(density.values[at].view(np.uint64).reshape(-1, 2), axis=0)
+            value = same.view(complex).ravel()
+            assert value.size == 1 and (cli._fmt(value.real[0]), cli._fmt(value.imag[0])) == (re, im)
+            assert not mg.invalid[at].any() if valid else mg.invalid[at].all()
 
 
 class TestTraceCheck:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from hhmeasure import FourierSymbol
 from hhmeasure.besov import jacobian_integrability
 from hhmeasure import degree
 from hhmeasure.degree import (GridSpec, MultiplicityGrid, SampledCurve, _coverage,
-                              _proximity_mask, default_grid, multiplicity_grid,
+                              _proximity_mask, _rasterize, default_grid, multiplicity_grid,
                               preimage_multiplicity, winding)
 from hhmeasure.errors import (DegenerateRoot, NoConvergence, NonIntegerError, RangeError,
                               TailError, WindingUndefined)
@@ -13,7 +15,7 @@ from hhmeasure.measure import smoothing_limit_probe
 from hhmeasure.poly import BivariatePolynomial as P
 from hhmeasure.symbols import _eval_extension
 
-from conftest import random_symbol
+from conftest import dense_coverage, load_perfbench, random_symbol, row_sweep_windings
 
 SHIFT = FourierSymbol({1: 1.0})
 CURVE = SampledCurve.from_symbol(SHIFT, 1.0, n=8)
@@ -136,32 +138,6 @@ class TestMultiplicityGrid:
         assert np.array_equal(a.values[both], -b.values[both])
 
 
-def row_sweep_windings(pts, cx, cy):
-    """Reference winding raster: one crossing-count sweep per grid row.
-
-    For each row, the edges crossing its center line (half-open rule) are
-    sorted by crossing abscissa; a center's winding is the signed count of
-    crossings strictly to its right.
-    """
-    x1, y1 = pts.real, pts.imag
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    out = np.zeros((cy.size, cx.size), dtype=np.int64)
-    for j, yc in enumerate(cy):
-        below1 = y1 <= yc
-        cross = below1 != (y2 <= yc)
-        if not np.any(cross):
-            continue
-        sgn = np.where(below1[cross], 1, -1)
-        t = (yc - y1[cross]) / (y2[cross] - y1[cross])
-        xs = x1[cross] + t * (x2[cross] - x1[cross])
-        order = np.argsort(xs, kind="stable")
-        xs = xs[order]
-        prefix = np.concatenate(([0], np.cumsum(sgn[order])))
-        idx = np.searchsorted(xs, cx, side="right")
-        out[j] = prefix[-1] - prefix[idx]
-    return out
-
-
 def brute_force_mask(pts, grid, eps):
     """Cells whose center is within eps of a sample, by all-pairs distances."""
     gx, gy = grid.mesh()
@@ -171,6 +147,31 @@ def brute_force_mask(pts, grid, eps):
 
 def random_polygon(rng, n, spread=1.0):
     return spread * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+def assert_reference(ref, invalid, values, masked_cover):
+    """values and masked_cover are ref's rint on valid cells and ref on invalid ones, byte for byte."""
+    assert values.dtype == np.int32 and masked_cover.dtype == np.float64
+    assert np.array_equal(values, np.where(invalid, 0.0, np.rint(ref)))
+    assert np.array_equal(masked_cover.view(np.uint64), ref[invalid].view(np.uint64))
+
+
+def check_raster(pts, grid, invalid):
+    """`_rasterize` against `dense_coverage`, with this mask and with every cell masked.
+
+    Returns the reference, every cell's average of the polygon pts.
+    """
+    ref = dense_coverage(pts, grid)
+    for mask in (invalid, np.ones(ref.shape, dtype=bool)):
+        assert_reference(ref, mask, *_rasterize(pts, grid, mask))
+    return ref
+
+
+def check_grid(mg):
+    """`check_raster` on the grid's own curve and mask, and the grid's fields against it."""
+    ref = check_raster(mg.curve.points, mg.grid, mg.invalid)
+    assert_reference(ref, mg.invalid, mg.values, mg.masked_cover)
+    return ref
 
 
 def subdivide(pts, step):
@@ -189,8 +190,10 @@ class TestRasterKernels:
     `multiplicity_grid` refines its curves, which keeps its shape; on every
     cell whose center lies beyond a cell diagonal of all its vertices the
     rounded coverage must equal the crossing count of the original polygon.
-    Windings are checked on FINE, whose cells are a third of GRID's each way,
-    so that every center of GRID is also one of FINE.
+    The raster's integers and averages must equal those of the dense
+    reference byte for byte, on every cell.  Windings are checked on FINE,
+    whose cells are a third of GRID's each way, so that every center of GRID
+    is also one of FINE.
     """
 
     GRID = GridSpec(-1.5, 1.5, -1.25, 1.25, 23, 19)
@@ -198,13 +201,14 @@ class TestRasterKernels:
 
     def check_windings(self, pts, grid=FINE):
         fine = subdivide(pts, min(grid.hx, grid.hy) / 4)
-        got = _coverage(fine, grid)
-        assert got.shape == (grid.ny, grid.nx) and got.dtype == np.float64
-        valid = ~_proximity_mask(fine, grid, grid.cell_diag)
+        invalid = _proximity_mask(fine, grid, grid.cell_diag)
+        valid = ~invalid
         assert valid.sum() >= grid.nx * grid.ny // 5
+        got = check_raster(fine, grid, invalid)
         ref = row_sweep_windings(pts, grid.centers_x(), grid.centers_y())
         assert np.max(np.abs(got[valid] - ref[valid]), initial=0) <= 1e-9
         assert np.array_equal(np.rint(got[valid]), ref[valid])
+        return got
 
     @pytest.mark.parametrize("seed", range(8))
     def test_random_polygons(self, seed):
@@ -241,6 +245,20 @@ class TestRasterKernels:
         # a polygon entirely left of, and one entirely above, the box
         self.check_windings(random_polygon(rng, 20, 0.2) - 4.0)
         self.check_windings(random_polygon(rng, 20, 0.2) + 4.0j)
+
+    def test_pieces_left_of_the_box(self):
+        # a circle around the box's left edge: its left half is clamped into column 0
+        circle = -1.5 + 0.1j + 0.8 * np.exp(2j * np.pi * np.arange(40) / 40)
+        assert self.check_windings(circle)[:, 0].any()
+
+    def test_rows_no_piece_meets(self):
+        # a triangle in rows 20-35 of 57: the other rows hold only their opening runs
+        grid = self.FINE
+        triangle = np.array([-0.5 - 0.35j, 0.6 - 0.3j, 0.1 + 0.3j])
+        self.check_windings(triangle)
+        starts, _ = _coverage(subdivide(triangle, grid.hx / 4), grid)
+        rows = np.unique(starts // (grid.nx + 1), return_counts=True)[1]
+        assert rows.size == grid.ny and np.count_nonzero(rows == 1) >= grid.ny // 2
 
     def test_sampled_curve_on_fine_grid(self, rng):
         sym = random_symbol(rng, 4)
@@ -434,7 +452,7 @@ class TestCoverage:
         sym = COVERAGE_SYMBOLS[idx]
         grid = default_grid(sym, 90)
         mg = multiplicity_grid(sym, r, grid)
-        cov = _coverage(mg.curve.points, grid)
+        cov = check_grid(mg)
         valid = ~mg.invalid
         ref = row_sweep_windings(mg.curve.points, grid.centers_x(), grid.centers_y())
         assert np.max(np.abs(cov[valid] - ref[valid])) <= 1e-9
@@ -445,7 +463,9 @@ class TestCoverage:
     def test_real_symbol_is_zero(self, rng):
         sym = random_symbol(rng, 3, real=True)
         mg = multiplicity_grid(sym, 0.9, default_grid(sym, 50))
-        assert not _coverage(mg.curve.points, mg.grid).any()
+        _, runs = _coverage(mg.curve.points, mg.grid)
+        assert not runs.any()
+        check_grid(mg)
 
     @pytest.mark.parametrize("box, rows, cols", [
         ((-0.5, 1.5, -1.0, 0.5), slice(20, 50), slice(30, 70)),   # cuts the curve
@@ -458,8 +478,9 @@ class TestCoverage:
         full = multiplicity_grid(sym, 1.0, GridSpec(-2, 2, -2, 2, 80, 80))
         x0, x1, y0, y1 = box
         part = GridSpec(x0, x1, y0, y1, cols.stop - cols.start, rows.stop - rows.start)
-        cut = _coverage(full.curve.points, part)
-        assert np.max(np.abs(cut - _coverage(full.curve.points, full.grid)[rows, cols])) <= 1e-12
+        cut = check_raster(full.curve.points, part, full.invalid[rows, cols])
+        whole = check_raster(full.curve.points, full.grid, full.invalid)
+        assert np.max(np.abs(cut - whole[rows, cols])) <= 1e-12
         valid = ~full.invalid[rows, cols]
         assert np.max(np.abs(cut[valid] - full.values[rows, cols][valid]), initial=0) <= 1e-9
 
@@ -467,10 +488,12 @@ class TestCoverage:
         # the zero symbol's curve is the origin, below the box's one row
         grid = GridSpec(0, 1, 0.25, 0.5, 1, 1)
         zero = SampledCurve.from_symbol(FourierSymbol({}), 1.0)
-        cov = _coverage(zero.points, grid)
-        assert cov.dtype == np.float64 and np.array_equal(cov, [[0.0]])
+        starts, runs = _coverage(zero.points, grid)
+        assert np.array_equal(starts, [0]) and runs.dtype == np.float64
+        assert np.array_equal(runs.view(np.uint64), [0])
         mg = multiplicity_grid(FourierSymbol({}), 1.0, grid)
         assert mg.values.dtype == np.int32 and np.array_equal(mg.values, [[0]])
+        check_grid(mg)
 
     @pytest.mark.filterwarnings("error")
     def test_far_vertices_are_clamped(self):
@@ -478,7 +501,32 @@ class TestCoverage:
         # overflow in cell units: it lies left of every cell, so it covers none
         grid = GridSpec(0, 4e-10, 0, 1, 4, 4)
         far = SampledCurve.from_symbol(FourierSymbol({0: -1e300 + 0.5j, 1: 0.01}), 1.0)
-        assert np.max(np.abs(_coverage(far.points, grid))) <= 1e-12
+        assert np.max(np.abs(check_raster(far.points, grid, np.zeros((4, 4), dtype=bool)))) <= 1e-12
+
+    def test_density_sweep_curves(self):
+        # the eight curves and grids of the benchmark's `density_jobs(3, ...)`, drawn the same way
+        workloads = load_perfbench("workloads")
+        rng, curves = np.random.default_rng(3), np.random.default_rng(workloads.CURVE_SEED)
+        for band, n, r in workloads.SWEEP:
+            sym = workloads.turned(workloads.phase_symbol(curves, band), rng.uniform(0, 2 * np.pi))
+            grid = default_grid(sym, n)
+            workloads.box_points(rng, grid, 32)
+            check_grid(multiplicity_grid(sym, r, grid))
+
+
+class TestRasterMemory:
+    def test_peak_bytes_per_cell(self):
+        # the dense float buffer of every cell took 19.8 B/cell here
+        sym = FourierSymbol({1: 1.0, 2: 0.4, -1: 0.2})
+        grid = default_grid(sym, 2000)
+        tracemalloc.start()
+        try:
+            mg = multiplicity_grid(sym, 1.0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mg.invalid.any()
+        assert peak / (grid.nx * grid.ny) <= 12
 
 
 class TestPreimageMultiplicity:

@@ -35,11 +35,13 @@ from numpy.polynomial import polynomial as npoly
 from hhmeasure import FourierSymbol
 from hhmeasure.besov import besov_membership, jacobian_integrability
 from hhmeasure.cli import main
-from hhmeasure.degree import _coverage, default_grid, preimage_multiplicity
+from hhmeasure.degree import default_grid, preimage_multiplicity
 from hhmeasure.errors import HHMeasureError
 from hhmeasure.measure import MeasureDensity, hh_density, total_variation
 from hhmeasure.operators import hankel_matrix, self_commutator
 from hhmeasure.symbols import _eval_extension, _jacobian, _wirtinger
+
+from conftest import dense_coverage
 
 SYMBOLS = {
     "shift": {1: 1.0},
@@ -203,7 +205,7 @@ def test_tv_matches_full_array_sum(name):
     sym, r = RASTERS[name]
     mg = hh_density(sym, r, default_grid(sym, 200)).grid
     tv = total_variation(MeasureDensity(mg))
-    cells = np.where(mg.invalid, _coverage(mg.curve.points, mg.grid), mg.values)
+    cells = np.where(mg.invalid, dense_coverage(mg.curve.points, mg.grid), mg.values)
     assert tv == float(np.sum(np.abs(cells))) * mg.grid.cell_area / (2 * np.pi)
     assert format(tv, ".17g") == TV_PINS[name]
 

@@ -5,7 +5,7 @@ import pytest
 
 from hhmeasure import FourierSymbol
 from hhmeasure import degree, measure
-from hhmeasure.degree import _START_POINTS, GridSpec, SampledCurve, _coverage, default_grid
+from hhmeasure.degree import _START_POINTS, GridSpec, SampledCurve, default_grid
 from hhmeasure.errors import NonFiniteError, RangeError, WindingUndefined
 from hhmeasure.measure import (brown_bound_check, hh_density, index_check,
                                smoothing_limit_probe, total_variation,
@@ -13,7 +13,7 @@ from hhmeasure.measure import (brown_bound_check, hh_density, index_check,
 from hhmeasure.operators import commutator_trace, schatten_norm, self_commutator
 from hhmeasure.poly import BivariatePolynomial as P
 
-from conftest import random_symbol
+from conftest import dense_coverage, random_symbol
 
 SHIFT = FourierSymbol({1: 1.0})
 SHIFT_GRID = GridSpec(-1.5, 1.5, -1.5, 1.5, 300, 300)
@@ -70,7 +70,7 @@ class TestDensityPair:
     def test_cell_windings_from_the_stored_raster(self, coeffs, r):
         mg = hh_density(FourierSymbol(coeffs), r, self.GRID).grid
         cells = measure._cell_windings(mg)
-        fresh = np.where(mg.invalid, _coverage(mg.curve.points, mg.grid), mg.values)
+        fresh = np.where(mg.invalid, dense_coverage(mg.curve.points, mg.grid), mg.values)
         assert cells.dtype == np.float64 and mg.invalid.any()
         assert np.array_equal(cells.view(np.uint64), fresh.view(np.uint64))
 

@@ -15,28 +15,15 @@ and no check may raise.  The anchors call `hh_density(..., refine=True)`, so
 this also fails if that keyword goes before the benchmark stops passing it.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 from hhmeasure import FourierSymbol, measure
 from hhmeasure.cli import main
 from hhmeasure.degree import GridSpec, SampledCurve
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-def load(name):
-    """A fresh copy of perfbench/<name>.py, registered in sys.modules for its dataclasses."""
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_perfbench
 
 
 def test_tracer_records_curve_spans():
-    spans = load("spans")
+    spans = load_perfbench("spans")
     from_symbol = SampledCurve.__dict__["from_symbol"]
     tracer = spans.Tracer()
     uninstall = spans.install(tracer)
@@ -55,14 +42,14 @@ def test_tracer_records_curve_spans():
 
 
 def test_trace_formula_job_passes_its_check(tmp_path):
-    workloads = load("workloads")
+    workloads = load_perfbench("workloads")
     job, = [j for j in workloads.operator_jobs(3, tmp_path) if j.name == "trace-formula-shift"]
     ratios = job.check(job.run())
     assert len(ratios) == 3 and max(ratios) < 1
 
 
 def test_cli_reports_pass_their_checks(tmp_path):
-    workloads = load("workloads")
+    workloads = load_perfbench("workloads")
     shift = workloads.write_symbol(tmp_path / "shift.json", workloads.SHIFT)
     box = "--grid=-1.5,1.5,-1.5,1.5,100,100"
     runs = [(["trace-check", "--p", "x", "--q", "y", box], workloads._check_trace(-0.5j), 3),
@@ -75,7 +62,7 @@ def test_cli_reports_pass_their_checks(tmp_path):
 
 
 def test_density_anchor_jobs_pass_their_checks(tmp_path):
-    workloads = load("workloads")
+    workloads = load_perfbench("workloads")
     names = [f"density-anchor{i}-400" for i in range(3)]
     jobs = [j for j in workloads.density_jobs(3, tmp_path) if j.name in names]
     assert [j.name for j in jobs] == names

@@ -1,11 +1,13 @@
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hhmeasure import FourierSymbol
+from hhmeasure import FourierSymbol, besov
+from hhmeasure.errors import NonFiniteError, RangeError
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -94,6 +96,39 @@ def dense_coverage(pts, grid):
     acc += np.bincount(idx + 1, height * f, grid.ny * width)
     acc = acc.reshape(grid.ny, width)
     return np.cumsum(acc, axis=1, out=acc)[:, :grid.nx]
+
+
+def ring_by_ring_partials(integrand, radii, band: int) -> list[float]:
+    """Reference disk quadrature: one integrand(r, thetas) call per ring.
+
+    The loop that `besov._disk_integral_partials` batched, unchanged: the
+    same panels, Gauss nodes and angles, each ring summed on its own and
+    accumulated in order, with the band guard and the overflow check.
+    """
+    if band > besov._MAX_QUAD_BAND:
+        raise RangeError(f"band {band} exceeds the {besov._MAX_QUAD_BAND} guard"
+                         " of the disk quadrature")
+    n_theta = max(128, 8 * band + 16)
+    thetas = np.arange(n_theta) * (2 * np.pi / n_theta)
+    d_theta = 2 * np.pi / n_theta
+    partials = []
+    total = 0.0
+    prev = 0.0
+    for rho in radii:
+        edges = besov._radial_panels(rho)
+        lo = np.searchsorted(edges, prev)
+        seg_edges = np.concatenate(([prev], edges[lo:][edges[lo:] > prev]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for a, b in zip(seg_edges[:-1], seg_edges[1:]):
+                nodes = (b - a) / 2 * besov._GAUSS_NODES + (a + b) / 2
+                for r, wgt in zip(nodes, besov._GAUSS_WEIGHTS * (b - a) / 2):
+                    ring = float(np.sum(integrand(r, thetas))) * d_theta * r
+                    total += wgt * ring
+        if not math.isfinite(total):
+            raise NonFiniteError(f"disk integral up to radius {rho:g} is not finite: {total}")
+        partials.append(total)
+        prev = rho
+    return partials
 
 
 @pytest.fixture

@@ -1,13 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from hhmeasure import FourierSymbol
+from conftest import load_perfbench, ring_by_ring_partials
+from hhmeasure import FourierSymbol, besov
 from hhmeasure.besov import (almost_normal_sufficient, analytic_besov_seminorm,
                              besov_membership, default_radii, hankel_schatten_probe,
                              jacobian_integrability)
 from hhmeasure.errors import ConjugateError, RangeError, TailError
+from hhmeasure.symbols import _horner, _jacobian
 
 DIVERGENT_RADII = (0.75, 0.9375, 0.984375)  # stop before band-40 saturation
 
@@ -119,6 +123,11 @@ class TestSufficientCondition:
         verdict = almost_normal_sufficient(sym, 1.0, math.inf)
         assert verdict.verdict == "met"
 
+    def test_negative_infinity_is_no_b1_variant(self):
+        # (1, -inf) is no conjugate pair: only q = +inf gives the (B_1, L^inf) variant
+        with pytest.raises(ConjugateError):
+            almost_normal_sufficient(FourierSymbol({1: 1.0, -1: 0.5j}), 1.0, -math.inf)
+
 
 class TestJacobianIntegrability:
     def test_safe_example(self):
@@ -147,6 +156,99 @@ class TestJacobianIntegrability:
         rz = _wirtinger(re_sym, z)[0]
         iz = _wirtinger(im_sym, z)[0]
         assert 4 * (rz * np.conj(iz)).imag == pytest.approx(sym.jacobian(z), abs=1e-13)
+
+
+def ring_by_ring_seminorm(f, p, radii):
+    """`analytic_besov_seminorm`'s trend with one integrand call per ring and scalar weights."""
+    _, d1, _, _ = f._split
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = npoly.polyder(d1)
+    if p == 1:
+        def integrand(r, thetas):
+            return np.abs(_horner(r * np.exp(1j * thetas), d2))
+    else:
+        def integrand(r, thetas):
+            w = (1.0 - r * r) ** (p - 2.0)
+            return w * np.abs(_horner(r * np.exp(1j * thetas), d1)) ** p
+    return ring_by_ring_partials(integrand, radii, f.band)
+
+
+def phase_coeffs(rng, lo, hi):
+    return {k: 0.5 * np.exp(2j * np.pi * rng.uniform()) for k in range(lo, hi + 1) if k}
+
+
+@pytest.fixture(scope="module")
+def quadrature_symbols(tmp_path_factory):
+    """label -> (symbol, radii at integer p, radii at the other p)."""
+    workloads = load_perfbench("workloads")
+    drawn = {}
+    real_job = workloads._besov_job
+    workloads._besov_job = lambda name, sym: drawn.setdefault(name, sym)
+    try:
+        workloads.operator_jobs(3, tmp_path_factory.mktemp("jobs"))
+    finally:
+        workloads._besov_job = real_job
+    rng = np.random.default_rng(64)
+    full, inner = (0.5, 0.9, 1.0), (0.5, 0.9, 0.99)
+    return {
+        "seed3-band4": (drawn["besov-band4"], full, inner),
+        "seed3-band12": (drawn["besov-band12"], full, inner),
+        "k3": (workloads.K3, full, inner),
+        "band64": (workloads.phase_symbol(rng, 64), full, inner),
+        # 384 rings of 4112 angles: 26 batches of 15 rings, the last one short
+        "band512": (FourierSymbol(phase_coeffs(rng, -2, 512)), (0.9,), (0.9,)),
+    }
+
+
+QUADRATURE_LABELS = ("seed3-band4", "seed3-band12", "k3", "band64", "band512")
+
+
+class TestBatchedRings:
+    """The batched quadrature gives the bytes of one integrand call per ring."""
+
+    @pytest.mark.parametrize("p", [1, 1.5, 2, 2.5, 3])
+    @pytest.mark.parametrize("label", QUADRATURE_LABELS)
+    def test_seminorm_trend_bytes(self, quadrature_symbols, label, p):
+        sym, full, inner = quadrature_symbols[label]
+        radii = full if float(p).is_integer() else inner
+        # the coanalytic half of the band 512 symbol is short; its analytic one has the rings
+        halves = sym.analytic_split()[:1] if label == "band512" else sym.analytic_split()
+        for half in halves:
+            trend = analytic_besov_seminorm(half, p, radii).trend
+            assert list(trend) == ring_by_ring_seminorm(half, p, radii)
+
+    @pytest.mark.parametrize("label", QUADRATURE_LABELS)
+    def test_jacobian_partials_bytes(self, quadrature_symbols, label):
+        sym, full, _ = quadrature_symbols[label]
+        partials = jacobian_integrability(sym, full).partials
+        assert list(partials) == ring_by_ring_partials(
+            lambda r, thetas: np.abs(_jacobian(sym, r * np.exp(1j * thetas))), full, sym.band)
+
+    def test_one_integrand_call_per_radius(self, monkeypatch):
+        # 1008 rings, which took one call each
+        calls = []
+        batched = besov._disk_integral_partials
+
+        def counting(integrand, radii, band):
+            def counted(r, z):
+                calls.append(r.size)
+                return integrand(r, z)
+            return batched(counted, radii, band)
+        monkeypatch.setattr(besov, "_disk_integral_partials", counting)
+        f = FourierSymbol(phase_coeffs(np.random.default_rng(4), 1, 4))
+        analytic_besov_seminorm(f, 2.0, (0.5, 0.9, 1.0))
+        assert len(calls) == 3 and sum(calls) == 1008
+
+    def test_peak_memory_at_the_band_guard(self):
+        # batches of 2^16 points peak near 3 MB, all of a radius's rings in one batch at 72 MB
+        f = FourierSymbol(phase_coeffs(np.random.default_rng(512), 1, besov._MAX_QUAD_BAND))
+        tracemalloc.start()
+        try:
+            analytic_besov_seminorm(f, 2.0, (0.9,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2 ** 20
 
 
 class TestHankelProbe:

@@ -453,6 +453,13 @@ class TestBesov:
         assert code == 0
         assert strict_json(out)["almost_normal_sufficient"]["verdict"] == "met"
 
+    def test_negative_infinite_q_is_no_b1_variant(self, capsys, shift_symbol):
+        code, out, err = run_cli(capsys, "besov", "--symbol", shift_symbol,
+                                 "--p", "1", "--q=-inf")
+        assert code == 2 and out == ""
+        diagnostic = strict_json(err)
+        assert diagnostic["error"] == "ConjugateError" and diagnostic["code"] == "schema"
+
 
 class TestGallery:
     def test_json(self, capsys):

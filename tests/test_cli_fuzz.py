@@ -93,15 +93,15 @@ VALUES = {
              st.sampled_from(["", "x^", "z", "x^-1", "nan*x"])),
     "point": (POINT, JUNK_TEXT),
     "count": (st.integers(1, 5).map(str), st.one_of(st.integers(-2, 0).map(str), JUNK_TEXT)),
-    "exponents": (st.sampled_from(["1", "1.5", "2", "3", "inf"]), JUNK_TEXT),
+    "exponents": (st.sampled_from(["1", "1.5", "2", "3", "inf", "-inf"]), JUNK_TEXT),
 }
 FLAGS = {"grid": ["--grid"], "r": ["--r"], "format": ["--format"], "tol": ["--tol"],
          "n": ["--n"], "poly": ["--p", "--q"], "point": ["--point"], "count": ["--count"],
          "exponents": ["--p", "--q"]}
 # examples per subcommand where not 30: gallery reads nothing but --format,
-# besov costs about 0.1 s a call, and the subcommands that take points get
-# more, as few points lie far from the box
-EXAMPLES = {"gallery": 6, "besov": 15, "winding": 60, "index-check": 60}
+# and the subcommands that take points get more, as few points lie far from
+# the box; besov costs about 8 ms a call
+EXAMPLES = {"gallery": 6, "winding": 60, "index-check": 60}
 # subcommands that rasterize a grid, which is always given to cap the cells
 GRIDDED = {"measure", "trace-check", "index-check", "smooth-limit"}
 

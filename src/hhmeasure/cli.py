@@ -133,11 +133,11 @@ def _load_symbol(config: RunConfig) -> FourierSymbol:
     return load_symbol_spec(config.symbol_path)
 
 
-def _radius(config: RunConfig, sym: FourierSymbol) -> float:
-    """The single --r, else 1 for exact symbols and 0.999 for truncations."""
+def _radius(config: RunConfig) -> float:
+    """The single --r, else 1: every symbol file gives an exact finite-band symbol."""
     if len(config.r_list) > 1:
         raise RangeError(f"{config.subcommand} takes one --r, got {len(config.r_list)}")
-    return config.r_list[0] if config.r_list else (1.0 if sym.is_finite_band else 0.999)
+    return config.r_list[0] if config.r_list else 1.0
 
 
 def _poly_or(text: str | None, fallback: BivariatePolynomial) -> BivariatePolynomial:
@@ -216,7 +216,7 @@ def _json_cells(rest: str, sx: list, sy: list, codes: np.ndarray, table: list):
 
 def _run_measure(config: RunConfig) -> int:
     sym = _load_symbol(config)
-    r = _radius(config, sym)
+    r = _radius(config)
     grid = config.grid or default_grid(sym)
     density = hh_density(sym, r, grid)
     codes, table = _cell_codes(density)
@@ -240,7 +240,7 @@ def _run_trace_check(config: RunConfig) -> int:
     sym = _load_symbol(config)
     p = _poly_or(config.p_text, BivariatePolynomial.x())
     q = _poly_or(config.q_text, BivariatePolynomial.y())
-    r = _radius(config, sym)
+    r = _radius(config)
     grid = config.grid or default_grid(sym)
     report = trace_formula_check(sym, p, q, grid, r, n_override=config.n_override)
     _emit(config, [_dump_json(report.to_dict()) + "\n"])
@@ -255,7 +255,7 @@ def _run_winding(config: RunConfig) -> int:
     sym = _load_symbol(config)
     if not config.points:
         raise RangeError("winding requires at least one --point re,im")
-    r = _radius(config, sym)
+    r = _radius(config)
     eps = config.tol if config.tol is not None else 1e-8
     curve = SampledCurve.from_symbol(sym, r)
     rows = []
@@ -269,7 +269,7 @@ def _run_winding(config: RunConfig) -> int:
 
 def _run_index_check(config: RunConfig) -> int:
     sym = _load_symbol(config)
-    r = _radius(config, sym)
+    r = _radius(config)
     grid = config.grid or default_grid(sym)
     density = hh_density(sym, r, grid)
     points = list(config.points)

@@ -13,8 +13,8 @@ bisection in `winding`.  Two independent routes lead to the same integers:
   over each row's touched cells gives every cell's exact average winding
   of the sampled polygon, constant from one touched cell to the next.  So
   the float work scales with the curve, not the grid, and the integers are
-  filled in runs.  Cells within eps of a curve sample are masked by
-  testing a fixed table of cell offsets around every sample; no edge
+  filled in runs.  Cells within two rows and columns of a curve sample's
+  cell are masked, from the samples' integer cell indices alone; no edge
   enters any other cell, so there the average is the integer winding up
   to rounding, and the raster stores it rounded.  The masked cells keep
   their averages, which the moments and the total variation in `measure`
@@ -48,7 +48,7 @@ from .symbols import (_MAX_BAND, FourierSymbol, _eval_extension, _horner, _jacob
 _MAX_REFINE_PASSES = 48
 _MAX_CURVE_POINTS = 2 * _MAX_BAND
 _INT32 = np.iinfo(np.int32)
-_MAX_MASK_OFFSETS = 1 << 16  # (row, column) offsets the proximity mask tests per sample
+_MASK_CELLS = 2  # rows and columns masked around each curve sample's cell
 _START_POINTS = 1024  # samples of a start curve, before chord refinement
 
 
@@ -267,12 +267,13 @@ class MultiplicityGrid:
     """Integer raster of the signed multiplicity over a rectangle.
 
     ``values[j, i]`` belongs to the cell center (centers_x[i], centers_y[j]);
-    invalid cells (curve within eps of the center) carry no integer and are
-    stored as 0 with the mask set.  ``masked_cover`` holds their exact
-    average windings, one per invalid cell in row-major order.  ``curve`` is
-    the refined curve the raster was made from; eps, twice the cell
-    diagonal, and the curve's point count are derived from the grid and the
-    curve.
+    invalid cells (within two rows and columns of a curve sample's cell)
+    carry no integer and are stored as 0 with the mask set.  ``masked_cover``
+    holds their exact average windings, one per invalid cell in row-major
+    order.  ``curve`` is the refined curve the raster was made from; eps =
+    2 * min(hx, hy), below the distance from every valid center to the
+    sampled polygon, and the curve's point count are derived from the grid
+    and the curve.
 
     Values are stored as int32, which holds every winding of a sampled
     curve: |winding| is at most the edge count, and a curve has at most
@@ -309,7 +310,7 @@ class MultiplicityGrid:
 
     @cached_property
     def eps(self) -> float:
-        return 2.0 * self.grid.cell_diag
+        return _MASK_CELLS * min(self.grid.hx, self.grid.hy)
 
     @property
     def curve_points(self) -> int:
@@ -364,9 +365,11 @@ def _coverage(pts: np.ndarray, grid: GridSpec) -> tuple:
         u = np.clip((pts.real - grid.x0) / grid.hx, -1.0, grid.nx + 1.0)
         v = np.clip((pts.imag - grid.y0) / grid.hy, -1.0, grid.ny + 1.0)
     du, dv = np.roll(u, -1) - u, np.roll(v, -1) - v
-    # the parameter of the one vertical and one horizontal grid line an edge may cross
-    tx, ty = (np.clip((np.floor(np.maximum(a, a + d)) - a) / np.where(d != 0, d, 1.0), 0, 1)
-              for a, d in ((u, du), (v, dv)))
+    # the parameter of the one vertical and one horizontal grid line an edge may cross;
+    # a quotient that overflows, by a tiny d, is a line out of the edge's reach and clips to 1
+    with np.errstate(over="ignore"):
+        tx, ty = (np.clip((np.floor(np.maximum(a, a + d)) - a) / np.where(d != 0, d, 1.0), 0, 1)
+                  for a, d in ((u, du), (v, dv)))
     t = np.stack([np.zeros_like(u), np.minimum(tx, ty), np.maximum(tx, ty), np.ones_like(u)])
     mid = (t[1:] + t[:-1]) / 2
     um, vm = np.maximum(u + mid * du, 0.0), v + mid * dv
@@ -420,90 +423,53 @@ def _rasterize(pts: np.ndarray, grid: GridSpec, invalid: np.ndarray) -> tuple:
     return values.reshape(grid.ny, grid.nx), masked_cover
 
 
-def _mask_reach(eps: float, h: float, lo: float, hi: float) -> float:
-    """min(floor(eps / h + d), ceil(eps / h)), d the rounding margin of `_proximity_mask`."""
-    ratio = eps / h
-    d = 1e-6 + 2.0 ** -48 * (abs(lo) + abs(hi)) / h
-    return min(np.floor(ratio + d), np.ceil(ratio))
+def _sample_mask(pts: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Cells within _MASK_CELLS rows and columns of the cell that holds some curve sample.
 
-
-def _proximity_mask(pts: np.ndarray, grid: GridSpec, eps: float) -> np.ndarray:
-    """Cells whose center lies within eps of some curve sample.
-
-    Each sample tests a fixed table of (row, column) offsets from the cell
-    center just below and left of it, column offsets -kx .. kx + 1 with
-    kx = floor(eps / hx + d), and likewise for rows.  A sample lies a
-    fraction f in [0, 1) of a cell right of that center, so a center at
-    offset i is |i - f| cell widths from it: i < -eps / hx or i > 1 + eps / hx
-    is beyond eps.  The margin d = 1e-6 + 2^-48 (|x0| + |x1|) / hx covers
-    the rounding of the sample's cell coordinate and of the float centers,
-    so no offset left out holds a center that the float test would count as
-    within eps; kx never exceeds ceil(eps / hx).  The squared distances along
-    x and along y are computed once per column and per row offset, and hits
-    are written into a flat array padded by the table's reach, so no offset
-    needs a bounds check; the padding is cropped at the end.
-
-    Every squared distance tested is at most 2 * (eps + 2 * cell width)^2.
-    Raises RangeError when twice that overflows, since inf <= inf would mask
-    cells at any distance, and when the table would pass _MAX_MASK_OFFSETS
-    offsets, as it does for cells thousands of times longer than wide.
+    Only each sample's integer cell index is used, the floor of its cell
+    coordinates, so no distance is computed and cells of any aspect ratio
+    take the same fixed (2k + 1) x (2k + 1) stencil, k = _MASK_CELLS.  Samples
+    whose cell lies more than k cells outside the box mask nothing and are
+    dropped, infinite coordinates included; the others are scattered into
+    a grid padded by 2k cells each way, so no stencil offset needs a bounds
+    check, and the padding is cropped at the end.
     """
-    reach = eps + 2.0 * max(grid.hx, grid.hy)
-    if not np.isfinite(4.0 * reach * reach):
-        raise RangeError(f"squared distances overflow: eps {eps:g} and cell size"
-                         f" {max(grid.hx, grid.hy):g} are too large for the proximity mask")
-    kx = _mask_reach(eps, grid.hx, grid.x0, grid.x1)
-    ky = _mask_reach(eps, grid.hy, grid.y0, grid.y1)
-    offsets = (2 * kx + 2) * (2 * ky + 2)
-    if not offsets <= _MAX_MASK_OFFSETS:
-        raise RangeError(f"cells of {grid.hx:g} x {grid.hy:g} need {offsets:g} offsets per sample"
-                         f" for eps {eps:g}, above the {_MAX_MASK_OFFSETS} of the proximity mask")
-    kx, ky = int(kx), int(ky)
+    k = _MASK_CELLS
     with np.errstate(over="ignore"):  # samples out of range are dropped by `near`
-        u = (pts.real - grid.x0) / grid.hx - 0.5
-        v = (pts.imag - grid.y0) / grid.hy - 0.5
-    # samples whose offset window meets the grid
-    near = (u >= -kx - 1) & (u < grid.nx + kx) & (v >= -ky - 1) & (v < grid.ny + ky)
-    px, py = pts.real[near], pts.imag[near]
-    padx, pady = 2 * kx + 1, 2 * ky + 1
-    width = grid.nx + 2 * padx
-    vi = np.floor(u[near]).astype(np.int64) + padx
-    vj = np.floor(v[near]).astype(np.int64) + pady
-    # padded centers; the unpadded ones are bit-identical to centers_x/centers_y
-    cx = grid.x0 + (np.arange(-padx, grid.nx + padx) + 0.5) * grid.hx
-    cy = grid.y0 + (np.arange(-pady, grid.ny + pady) + 0.5) * grid.hy
-    cols = range(-kx, kx + 2)
-    dx2 = [(cx[vi + di] - px) ** 2 for di in cols]
-    base = vj * width + vi
-    flat = np.zeros((grid.ny + 2 * pady) * width, dtype=bool)
-    e2 = eps * eps
-    for dj in range(-ky, ky + 2):
-        dy2 = (cy[vj + dj] - py) ** 2
-        for di, ddx in zip(cols, dx2):
-            flat[base[ddx + dy2 <= e2] + (dj * width + di)] = True
-    return flat.reshape(-1, width)[pady:pady + grid.ny, padx:padx + grid.nx]
+        u = np.floor((pts.real - grid.x0) / grid.hx)
+        v = np.floor((pts.imag - grid.y0) / grid.hy)
+    near = (u >= -k) & (u < grid.nx + k) & (v >= -k) & (v < grid.ny + k)
+    pad = 2 * k
+    width = grid.nx + 2 * pad
+    flat = np.zeros((grid.ny + 2 * pad) * width, dtype=bool)
+    flat[(v[near].astype(np.int64) + pad) * width + u[near].astype(np.int64) + pad] = True
+    cells = np.flatnonzero(flat)
+    for dj in range(-k, k + 1):
+        for di in range(-k, k + 1):
+            flat[cells + (dj * width + di)] = True
+    return flat.reshape(-1, width)[pad:pad + grid.ny, pad:pad + grid.nx]
 
 
 def multiplicity_grid(sym: FourierSymbol, r: float, grid: GridSpec) -> MultiplicityGrid:
     """Signed multiplicity m_{Phi_r} on every valid cell center.
 
     Valid cells carry the winding of the sampled curve of phi_r around the
-    cell center; cells within eps = twice the cell diagonal of the curve are
-    masked invalid rather than aborting the grid.  The curve starts from
-    `SampledCurve.from_symbol` and is refined until every chord is below a
-    quarter of the smaller cell side.
+    cell center.  The curve starts from `SampledCurve.from_symbol` and is
+    refined until every chord is below a quarter of the smaller cell side;
+    the cells within _MASK_CELLS = 2 rows and columns of the cell of some
+    sample are masked invalid (`_sample_mask`) rather than aborting the grid.
 
     One `_coverage` pass, filled out by `_rasterize`, gives the integers and
-    the masked cells' averages: a valid cell's center lies more than eps from
-    every sample, so no chord of at most a quarter cell enters the cell, and
-    its exact average is its winding, which is stored rounded.  The mask runs
-    first, since its RangeError guards the cell sizes that `_coverage`
-    divides by.
+    the masked cells' averages.  Every sample lies at least two cells from
+    a valid cell along a row or a column, so no chord of at most a quarter
+    cell enters the cell, and its exact average is its winding, which is
+    stored rounded.  Its center lies at least 2.5 cells less an eighth of
+    the smaller side from the sampled polygon, and so more than eps =
+    2 * min(hx, hy).
     """
     curve = SampledCurve.from_symbol(sym, r).refine_to_chord(min(grid.hx, grid.hy) / 4.0)
-    pts = curve.points
-    invalid = _proximity_mask(pts, grid, 2.0 * grid.cell_diag)
-    values, masked_cover = _rasterize(pts, grid, invalid)
+    invalid = _sample_mask(curve.points, grid)
+    values, masked_cover = _rasterize(curve.points, grid, invalid)
     return MultiplicityGrid(grid, values, invalid, masked_cover, curve)
 
 

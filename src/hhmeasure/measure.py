@@ -74,8 +74,9 @@ class MeasureDensity:
         quad_err is the gap to the exact moment of
         the rasterized polygon, (1/2 pi i) times its contour integral of
         p dq (Green's theorem), which also shows any part of the curve that
-        lies outside the box.  A sum beyond the float range raises
-        NonFiniteError, and deg p + deg q above _MAX_MOMENT_DEGREE RangeError.
+        lies outside the box.  A sum beyond the float range, or one that an
+        infinite cell area scales past it, raises NonFiniteError, and
+        deg p + deg q above _MAX_MOMENT_DEGREE RangeError.
         """
         if p.degree + q.degree > _MAX_MOMENT_DEGREE:
             raise RangeError(f"deg p + deg q = {p.degree + q.degree} exceeds the"
@@ -93,9 +94,11 @@ class MeasureDensity:
             dq = (q.partial_x()(z.real, z.imag) * d.real[:, None]
                   + q.partial_y()(z.real, z.imag) * d.imag[:, None])
             exact = float(np.sum((p(z.real, z.imag) * dq) @ w)) / 2
-        if not np.isfinite(tot + exact):
-            raise NonFiniteError(f"grid moment {tot} or contour {exact} is not finite")
-        value = complex(tot * mg.grid.cell_area / (2j * np.pi))
+            scaled = tot * mg.grid.cell_area
+        if not (np.isfinite(scaled) and np.isfinite(exact)):
+            raise NonFiniteError(f"grid moment {tot} times cell area {mg.grid.cell_area}"
+                                 f" or contour {exact} is not finite")
+        value = complex(scaled / (2j * np.pi))
         return value, abs(value - exact / (2j * np.pi))
 
 
@@ -115,9 +118,9 @@ def hh_density(sym: FourierSymbol, r: float, grid: GridSpec,
                refine: bool = True) -> MeasureDensity:
     """Density of the measure of T_{phi_r} (or T_phi when r = 1) on grid.
 
-    One raster of one curve: `multiplicity_grid` masks within twice the cell
-    diagonal and keeps the refined curve it was made from.  ``refine`` is
-    accepted and ignored.
+    One raster of one curve: `multiplicity_grid` masks the cells within two
+    rows and columns of a curve sample's cell and keeps the refined curve it
+    was made from.  ``refine`` is accepted and ignored.
     """
     # refine is ignored: the benchmark's density jobs (perfbench/workloads.py) still pass it
     return MeasureDensity(multiplicity_grid(sym, r, grid))
@@ -189,10 +192,15 @@ def total_variation(density: MeasureDensity) -> float:
     For the sampled polygon this is exact on each cell where m keeps one
     sign, which holds on every cell of an analytic or co-analytic symbol;
     on a cell beside a self-crossing where m changes sign, |average| is
-    below the average of |m|, so the result is a lower bound there.
+    below the average of |m|, so the result is a lower bound there.  A sum
+    or a cell area beyond the float range raises NonFiniteError.
     """
     cells = _cell_windings(density.grid)
-    return float(np.sum(np.abs(cells, out=cells))) * density.grid.grid.cell_area / (2 * np.pi)
+    area = density.grid.grid.cell_area
+    tv = float(np.sum(np.abs(cells, out=cells))) * area / (2 * np.pi)
+    if not np.isfinite(tv):
+        raise NonFiniteError(f"total variation {tv} over cells of area {area} is not finite")
+    return tv
 
 
 def brown_bound_check(sym: FourierSymbol, r: float, grid: GridSpec | None = None):

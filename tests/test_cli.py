@@ -233,17 +233,25 @@ class TestValidation:
         assert diagnostic["code"] == "schema" and "finite" in diagnostic["message"]
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("argv", [["measure"], ["index-check", "--count", "3"]])
-    def test_overflowing_mask_distances_exit_2(self, capsys, tmp_path, argv):
-        # 1e199-sized cells: squared cell-to-curve distances overflow in the mask
+    @pytest.mark.parametrize("argv", [["measure", "--format", "json"],
+                                      ["index-check", "--count", "3"]])
+    def test_huge_cells_give_a_report(self, capsys, tmp_path, argv):
+        # 1e199-sized cells: the mask reads cell indices only, so nothing overflows
         huge = tmp_path / "huge.json"
         huge.write_text(json.dumps({"type": "finite_band",
                                     "coeffs": [{"k": 1, "re": 1e200, "im": 0.0}]}))
         code, out, err = run_cli(capsys, *argv, "--symbol", str(huge),
                                  "--grid=-2e200,2e200,-2e200,2e200,40,40")
-        assert code == 2 and out == ""
-        diagnostic = strict_json(err)
-        assert diagnostic["error"] == "RangeError" and "overflow" in diagnostic["message"]
+        assert code == 0 and err == ""
+        assert 0 < strict_json(out)["masked_area_fraction"] < 1
+
+    def test_elongated_cells_give_a_report(self, capsys, shift_symbol):
+        # cells 5000 times wider than tall: the mask's stencil is 5 x 5 cells whatever the aspect
+        code, out, err = run_cli(capsys, "measure", "--symbol", shift_symbol,
+                                 "--grid=-1.5,1.5,-1.5,1.5,1,5000")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 2 + 5000 and lines[2].endswith(",0,0,1")
 
     @pytest.mark.parametrize("argv", [
         ["gallery", "--symbol", "SYM"],

@@ -191,3 +191,19 @@ def test_every_input_gives_a_report_or_one_diagnostic(sub):
         check_call(*call)
 
     check()
+
+
+ZERO = {"type": "finite_band", "coeffs": [{"k": 0, "re": 0.0, "im": 0.0}]}
+ROTATED_SHIFT = {"type": "finite_band", "coeffs": [{"k": 1, "re": 0.0, "im": 1.0}]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, symbol", [
+    # a cell area beyond the float range scales the moments past it
+    (["smooth-limit", "--grid=0.0,1e+308,1.0,3.0,1,1", "--symbol=SYMBOL"], ZERO),
+    # in units of a 1e308-tall cell the curve's rises are subnormal
+    (["smooth-limit", "--grid=0.0,1.0,2.0,1e+308,1,1", "--symbol=SYMBOL"], ROTATED_SHIFT),
+])
+def test_found_inputs(argv, symbol):
+    """Inputs that generated calls once found, kept whatever hypothesis draws."""
+    check_call(argv, symbol)

@@ -2,12 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from hhmeasure import FourierSymbol
 from hhmeasure.besov import jacobian_integrability
 from hhmeasure import degree
 from hhmeasure.degree import (GridSpec, MultiplicityGrid, SampledCurve, _coverage,
-                              _proximity_mask, _rasterize, default_grid, multiplicity_grid,
+                              _rasterize, _sample_mask, default_grid, multiplicity_grid,
                               preimage_multiplicity, winding)
 from hhmeasure.errors import (DegenerateRoot, NoConvergence, NonIntegerError, RangeError,
                               TailError, WindingUndefined)
@@ -119,10 +120,42 @@ class TestMultiplicityGrid:
         assert checked > 10
 
     @pytest.mark.filterwarnings("error")
-    def test_mask_guard_runs_before_the_raster(self):
-        # a 1e308-tall cell overflows the mask's squared distances and the raster's divisions
-        with pytest.raises(RangeError, match="squared distances overflow"):
-            multiplicity_grid(SHIFT, 1.0, GridSpec(0.0, 1.0, 0.5, 1e308, 1, 1))
+    def test_tall_cell_rasterizes_without_warning(self):
+        # in units of a 1e308-tall cell the curve's rises are subnormal, and
+        # the raster's quotients by them overflow
+        mg = multiplicity_grid(SHIFT, 1.0, GridSpec(0.0, 1.0, 0.5, 1e308, 1, 1))
+        assert mg.invalid.all() and not mg.values.any()
+
+    def test_valid_centres_lie_beyond_eps(self):
+        """The mask's guarantee on random symbols and cells of aspect 1 to 1000.
+
+        Every valid centre lies more than eps from the sampled polygon: each
+        polygon point lies within half the longest chord of a sample.  On up
+        to 15 valid cells of each grid, `winding` at eps / 4 equals the raster.
+        """
+        rng = np.random.default_rng(24)
+        checked = 0
+        for _ in range(40):
+            sym = random_symbol(rng, int(rng.integers(1, 9)))
+            r = float(rng.choice([0.9, 1.0]))
+            half = default_grid(sym, 1).x1
+            wide = half * float(rng.choice([1.0, 10.0, 1000.0]))
+            n = int(rng.integers(12, 40))
+            grid = (GridSpec(-wide, wide, -half, half, n, n) if rng.integers(2)
+                    else GridSpec(-half, half, -wide, wide, n, n))
+            mg = multiplicity_grid(sym, r, grid)
+            pts = mg.curve.points
+            chord = np.max(np.abs(np.diff(np.append(pts, pts[0]))))
+            rows, cols = np.nonzero(~mg.invalid)
+            centres = grid.centers_x()[cols] + 1j * grid.centers_y()[rows]
+            tree = cKDTree(np.column_stack([pts.real, pts.imag]))
+            gap = tree.query(np.column_stack([centres.real, centres.imag]))[0] - chord / 2
+            assert np.all(gap > mg.eps)
+            start = SampledCurve.from_symbol(sym, r)
+            for k in np.unique(np.linspace(0, rows.size - 1, 15).astype(int))[:rows.size]:
+                assert winding(start, centres[k], mg.eps / 4) == mg.values[rows[k], cols[k]]
+                checked += 1
+        assert checked >= 400
 
     def test_truncation_rejected_at_r1(self):
         sym = FourierSymbol({1: 1.0}, tail_bound=0.1)
@@ -138,11 +171,14 @@ class TestMultiplicityGrid:
         assert np.array_equal(a.values[both], -b.values[both])
 
 
-def brute_force_mask(pts, grid, eps):
-    """Cells whose center is within eps of a sample, by all-pairs distances."""
-    gx, gy = grid.mesh()
-    d2 = (gx[..., None] - pts.real) ** 2 + (gy[..., None] - pts.imag) ** 2
-    return np.any(d2 <= eps * eps, axis=-1)
+def brute_force_mask(pts, grid):
+    """Cells within two rows and two columns of a sample's cell, every cell against every sample."""
+    with np.errstate(over="ignore"):
+        col = np.floor((pts.real - grid.x0) / grid.hx)
+        row = np.floor((pts.imag - grid.y0) / grid.hy)
+    near_col = np.abs(np.arange(grid.nx)[:, None] - col) <= 2
+    near_row = np.abs(np.arange(grid.ny)[:, None] - row) <= 2
+    return np.any(near_row[:, None, :] & near_col[None, :, :], axis=-1)
 
 
 def random_polygon(rng, n, spread=1.0):
@@ -184,24 +220,24 @@ def subdivide(pts, step):
 
 
 class TestRasterKernels:
-    """The coverage raster, rounded, and the offset-table mask give the exact integers.
+    """The coverage raster, rounded, and the sample mask give the exact integers.
 
     Each polygon is cut into edges of at most a quarter cell, as
     `multiplicity_grid` refines its curves, which keeps its shape; on every
-    cell whose center lies beyond a cell diagonal of all its vertices the
-    rounded coverage must equal the crossing count of the original polygon.
-    The raster's integers and averages must equal those of the dense
-    reference byte for byte, on every cell.  Windings are checked on FINE,
-    whose cells are a third of GRID's each way, so that every center of GRID
-    is also one of FINE.
+    cell that `_sample_mask` leaves valid the rounded coverage must equal
+    the crossing count of the original polygon.  The raster's integers and
+    averages must equal those of the dense reference byte for byte, on every
+    cell.  Windings are checked on FINE, whose cells are a fifth of GRID's
+    each way, so that every center of GRID is also one of FINE and at least
+    a fifth of the cells stay valid.
     """
 
     GRID = GridSpec(-1.5, 1.5, -1.25, 1.25, 23, 19)
-    FINE = GridSpec(-1.5, 1.5, -1.25, 1.25, 69, 57)
+    FINE = GridSpec(-1.5, 1.5, -1.25, 1.25, 115, 95)
 
     def check_windings(self, pts, grid=FINE):
         fine = subdivide(pts, min(grid.hx, grid.hy) / 4)
-        invalid = _proximity_mask(fine, grid, grid.cell_diag)
+        invalid = _sample_mask(fine, grid)
         valid = ~invalid
         assert valid.sum() >= grid.nx * grid.ny // 5
         got = check_raster(fine, grid, invalid)
@@ -252,7 +288,7 @@ class TestRasterKernels:
         assert self.check_windings(circle)[:, 0].any()
 
     def test_rows_no_piece_meets(self):
-        # a triangle in rows 20-35 of 57: the other rows hold only their opening runs
+        # a triangle in rows 34-58 of 95: the other rows hold only their opening runs
         grid = self.FINE
         triangle = np.array([-0.5 - 0.35j, 0.6 - 0.3j, 0.1 + 0.3j])
         self.check_windings(triangle)
@@ -266,42 +302,52 @@ class TestRasterKernels:
         pts = SampledCurve.from_symbol(sym, 0.95).refine_to_chord(grid.hx / 4).points
         self.check_windings(pts, grid)
 
-    @pytest.mark.parametrize("eps_cells", [0.37, 1.0, 2.3, 4.71])
-    def test_mask_matches_all_pairs(self, eps_cells):
-        rng = np.random.default_rng(int(eps_cells * 100))
-        grid = self.GRID
-        pts = random_polygon(rng, 300, spread=1.2)  # some samples fall outside the box
-        eps = eps_cells * grid.hx
-        assert np.array_equal(_proximity_mask(pts, grid, eps), brute_force_mask(pts, grid, eps))
+    @pytest.mark.parametrize("aspect", [0.37, 1.0, 2.3, 4.71, 1e-3, 1e3])
+    def test_mask_matches_all_pairs(self, aspect):
+        """Random samples, some outside the box, on cells about aspect times as tall as wide."""
+        rng = np.random.default_rng(int(aspect * 100))
+        wide, tall = 1.5 / max(aspect, 1.0), 1.25 * min(aspect, 1.0)
+        grid = GridSpec(-wide, wide, -tall, tall, 23, 19)
+        pts = random_polygon(rng, 40, spread=0.8)
+        pts = pts.real * (wide / 1.5) + 1j * pts.imag * (tall / 1.25)
+        got = _sample_mask(pts, grid)
+        assert np.array_equal(got, brute_force_mask(pts, grid))
+        assert got.any() and not got.all()
 
     def test_mask_samples_far_outside(self):
         grid = self.GRID
-        eps = 1.7 * grid.hy
-        # far samples, samples just beyond each edge of the box, and one inside
-        pts = np.array([1e6 + 1j, -1e6, 1e6j, -3.0 - 3.0j, 1.52 + 0.1j, -1.53 - 0.2j,
-                        0.4 + 1.27j, -0.2 - 1.26j, 0.01 + 0.02j])
-        assert np.array_equal(_proximity_mask(pts, grid, eps), brute_force_mask(pts, grid, eps))
+        # far samples, samples two and three cells beyond each edge of the box, and one inside
+        hx, hy = grid.hx, grid.hy
+        pts = np.array([1e6 + 1j, -1e6, 1e6j, -3.0 - 3.0j, 1e308 - 1e308j,
+                        -1.5 - 1.5 * hx, -1.5 - 2.5 * hx, 1.5 + 1.5 * hx + 0.1j, 1.5 + 2.5 * hx,
+                        1j * (1.25 + 1.5 * hy), 1j * (1.25 + 2.5 * hy), -0.2 - 1.26j,
+                        0.3 - 1j * (1.25 + 2.5 * hy), 0.01 + 0.02j])
+        got = _sample_mask(pts, grid)
+        assert np.array_equal(got, brute_force_mask(pts, grid))
+        # a sample two cells out masks the edge column; one three cells out masks nothing
+        assert np.array_equal(_sample_mask(pts[5:6], grid).any(axis=0), np.arange(23) == 0)
+        assert not _sample_mask(pts[6:7], grid).any()
 
     @pytest.mark.parametrize("grid, eps", [
-        # square cells: a 6 x 6 offset table where ceil gave 8 x 8
-        (GridSpec(-1.0, 1.0, -1.0, 1.0, 16, 16), 2.0 * GridSpec(-1, 1, -1, 1, 16, 16).cell_diag),
-        # eps / hx and eps / hy exact integers
+        # square cells
+        (GridSpec(-1.0, 1.0, -1.0, 1.0, 16, 16), 2.0 * float(np.hypot(0.125, 0.125))),
+        # steps of whole cells
         (GridSpec(0.0, 2.0, 0.0, 1.0, 16, 16), 0.25),
         (GridSpec(-1.0, 1.0, -3.0, 3.0, 8, 48), 0.5),
-        # eps / hx an integer, eps / hy not, and the reverse
+        # a step of whole cells along x, not y, and the reverse
         (GridSpec(-1.0, 1.0, -1.0, 1.0, 16, 10), 0.375),
         (GridSpec(-1.0, 1.0, -1.0, 1.0, 10, 16), 0.375),
         # wide and tall cells
         (GridSpec(-1.0, 1.0, -0.25, 0.25, 10, 80), 0.15),
         (GridSpec(-0.25, 0.25, -1.0, 1.0, 80, 10), 0.15),
-        # boxes far from the origin, where the centers carry rounding
+        # boxes far from the origin, where the cell coordinates carry rounding
         (GridSpec(1e6, 1e6 + 2.0, -1e6 - 1.0, -1e6 + 1.0, 16, 16), 0.25),
         (GridSpec(1e8, 1e8 + 2e-3, 3e8, 3e8 + 2e-3, 24, 24), 2.5e-4),
         (GridSpec(1e8, 1e8 + 2e-3, 3e8, 3e8 + 2e-3, 24, 24), 2.99999 * 1e-3 / 12),
         (GridSpec(-7e15, -7e15 + 64.0, 5e15, 5e15 + 48.0, 16, 12), 8.0),
     ])
     def test_mask_matches_all_pairs_on_offset_edges(self, grid, eps):
-        """Samples exactly eps from a center along an axis, and on cell corners."""
+        """Samples a step eps from a center along an axis, and on cell corners and lines."""
         rng = np.random.default_rng(17)
         cx, cy = grid.centers_x(), grid.centers_y()
         steps = np.array([eps, -eps, 0, 0, 0.5 * grid.hx, -0.5 * grid.hx]) + 1j * np.array(
@@ -310,30 +356,18 @@ class TestRasterKernels:
             i, j = rng.integers(grid.nx, size=6), rng.integers(grid.ny, size=6)
             step = rng.choice(steps, 6)
             pts = (cx[i] + step.real) + 1j * (cy[j] + step.imag)
-            got = _proximity_mask(pts, grid, eps)
-            assert np.array_equal(got, brute_force_mask(pts, grid, eps))
+            got = _sample_mask(pts, grid)
+            assert np.array_equal(got, brute_force_mask(pts, grid))
             assert not got.all()
 
-    def test_mask_table_tight_for_square_cells(self):
-        grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 16, 16)
-        eps = 2.0 * grid.cell_diag  # 2 sqrt(2) = 2.83 cells
-        assert degree._mask_reach(eps, grid.hx, grid.x0, grid.x1) == 2
-        assert degree._mask_reach(2.0 * grid.hx, grid.hx, grid.x0, grid.x1) == 2
-
-    def test_mask_rejects_elongated_cells(self):
-        # eps = 2 cell diagonals spans 2e4 cell widths: about 4e4 x 6 offsets, past the budget
-        grid = GridSpec(-1.0, 1.0, -1e4, 1e4, 20, 20)
-        pts = np.array([0.0, 1.0, 1j])
-        with pytest.raises(RangeError, match="offsets"):
-            _proximity_mask(pts, grid, 2.0 * grid.cell_diag)
-
     @pytest.mark.filterwarnings("error")
-    def test_mask_rejects_overflowing_distances(self):
-        # squared distances of 1e199-sized cells overflow, and inf <= inf would mask them all
+    def test_mask_of_huge_cells(self):
+        # 1e199-wide cells: the index mask computes no distance, so nothing overflows
         grid = GridSpec(-2e200, 2e200, -2e200, 2e200, 40, 40)
         pts = 1e200 * np.exp(2j * np.pi * np.arange(64) / 64)
-        with pytest.raises(RangeError, match="overflow"):
-            _proximity_mask(pts, grid, 2.0 * grid.cell_diag)
+        got = _sample_mask(pts, grid)
+        assert np.array_equal(got, brute_force_mask(pts, grid))
+        assert got.any() and not got.all()
 
 
 class TestChordCap:

@@ -7,13 +7,16 @@ streamed its rows from format tables.  A digest changes only when an output
 byte changes; a deliberate change of output must update the digest and say so
 in CHANGES.md.  The trace-check and smooth-limit digests were re-recorded
 when moments moved from a masked Richardson pair to exact cell coverage on
-one grid.
+one grid.  Every measure, index-check, trace-check and smooth-limit digest
+was re-recorded when the mask moved from distances to cell indices: masked
+fractions and valid flags moved, and moments in their last digits.
 
 The raster pins hash the integer values and the mask of the grid of
 ``hh_density`` directly, so they see every cell, masked or not; they were
-recorded before the winding sweep and the proximity mask became edge- and
-offset-driven.  The total variation pins were recorded when it moved from a
-masked Richardson pair to exact cell coverage on that one grid.
+re-recorded when the mask moved to cell indices, with the same integers on
+every cell valid under both masks.  The total variation pins were recorded
+when it moved from a masked Richardson pair to exact cell coverage on that
+one grid.
 
 The split pins hash, over fixed seeded symbols, everything that reads the
 split Phi = F + conj(G): the extension, its Wirtinger derivatives and
@@ -100,19 +103,19 @@ DIGESTS = {
     "besov-shift": "f0d453cfbb687f6334fbeacd03c749c04eae630aec747223c374a4d4ee42ce15",
     "gallery-csv": "6355f0003f9ed57191bbaef5912a70426bba964e48777b75a069c29e1659db1f",
     "gallery-json": "dfac36a28331db1c7e83655fc5500349f6232e67c32ebbe4b15505473327c5ed",
-    "index-check-band2": "7901a9b2c129742739bbb90687c622651d705e94b0f79769980d78a5c141beac",
-    "index-check-shift": "fe6fb22f35a0edd3b2ebaabc0b09fa7f5a44f76158847ecc0c21f1e875439eff",
-    "measure-csv-band2": "56707e483a83c31bfce0282640d9501fd0ec35d4cbbd55025c09e8bc6d804bee",
-    "measure-csv-shift": "c82b9b87f9806be98fe7fa6ab78a7448deda99ff4a0a454eec284a8a97a95fce",
-    "measure-csv-shift-r": "3d1a34fc71366657ee940e1aff54d0ea640fd664187e1387750dc2c26652deb5",
-    "measure-csv-zz": "d1c00e7b29544837041060c86bda8bd6d41d4975b9e3756d58ba6860d79ad2e4",
-    "measure-json-band2": "a931cdf41721890b62c6e77942c73e5d00384074bee2de3e6c785ed292500bdc",
-    "measure-json-conj": "751682786676746613496a0e8ed8a9aa54a7006aeb936b0b96989f9c3b9115fe",
-    "smooth-limit-band2": "7a85d664da10ce7c81d91e4683095dc130f8b7f164d27f67ee1eae310a726f46",
-    "smooth-limit-shift": "5db1a2cb0603d87551f45a5746c8eab983a88d25ce3bac9416b5bba07158e4cb",
-    "trace-check-band2": "baaa252d49e22a5c2543396d90b9b7d4d5cc4781e70b86eba7e30ee815b62ff2",
-    "trace-check-band2-r": "bf02280938222c0f4e40ae14891a20ba53568088c19fcb4ac90c028e4d663e5f",
-    "trace-check-shift": "44f91d7b1199b915dc2fe2e481f6f82f21e0b641f730640225b534f5dca1a359",
+    "index-check-band2": "0421e06481778ccc06f3f25271ad89574e28074c6fce91acd3c782b9f0f1a665",
+    "index-check-shift": "47cb3ad3bffeb98d7c456219bfe7c93ffa6734ad49194cf5742cfbb7f7a6cab0",
+    "measure-csv-band2": "ad2c96669751220909d1b3383a0809618613c92d542fca82b53e7dbe314ae374",
+    "measure-csv-shift": "eae774ee2d535dbabcd00ad52e11c549bfc7efb1e59c6493c27aeb6517e733aa",
+    "measure-csv-shift-r": "b83aee56d076ec02eeb20a3e7149c99d81054cce30188f6fee8c5329813fbfc1",
+    "measure-csv-zz": "0c392b0c8736e1d77a3aa0fcbdfe13bdef6245f53ec40b5615480816e3e01ca8",
+    "measure-json-band2": "6b507379cdb9f9aec5f68235388b5fd6bc4b61648f1ef74968702b2fe1e55ea2",
+    "measure-json-conj": "cfaedb516ff68de20a737c6f4f5577bd3e021f4df8600f8b40c37379ab652387",
+    "smooth-limit-band2": "d13b973e8a4de8d347665bb9421840ecbdd1f2ab7fe2a208cb01f2134fd084cd",
+    "smooth-limit-shift": "31b2f017dc2a1e47e671414ab83509b21c7c0789cdf2da70f6deda287d2e3e8f",
+    "trace-check-band2": "fb45db8dc5f780c83b8c0124b58a62f36166fd44fc37b82ef89c3db11d58507f",
+    "trace-check-band2-r": "18f37888d6972306ee203377c1408a479cc872b64b871da7cbc11e1e6244515a",
+    "trace-check-shift": "d1f118c22273a2f92950fb00b5424a14068fc1bffb5e9cc96be6ed87063ba967",
     "winding-band2": "25e74175745346c612eed2441bd3713250e30624ad5cca5c9cf0d654f70bc0f5",
     "winding-shift": "0c5488c2a88bd8ea0e230ab2e4efa679547c183497b93c9716f53734f109c401",
 }
@@ -178,9 +181,9 @@ RASTERS = {
 # sha256 of values.tobytes() + invalid.tobytes() of the grid, with the values
 # widened to int64 so that the digest pins the integers, not the storage type
 RASTER_DIGESTS = {
-    "band2": "a1686d571fbd5aa5bf8c50a714e9bb9d485239d0f300699b2d8a6e16de9a182e",
-    "phase16-r0.9": "041d7c5f1eed98c1fec0dd113e2789c2738f8c9e194fde6b54b40ad1088f9cce",
-    "conj": "88c424c9e50583707257f11d117fcf07a0614153d7a007c77fe9a5590b41108b",
+    "band2": "f06a5ff9799cba33b2dacbde6bff38f8de3669dc255d699dd019d75dde364f19",
+    "phase16-r0.9": "5ef2222b4395ee154086007d7555816abfb54096c858c576eb1f742487ce2e2f",
+    "conj": "01926cde497eda61449d2511dda90116d36010c851dc827751c8f0ead0f3cbe2",
 }
 
 # total_variation of each raster, .17g

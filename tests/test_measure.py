@@ -228,6 +228,16 @@ class TestTotalVariation:
         sym = FourierSymbol(coeffs)
         assert abs(total_variation(hh_density(sym, 1.0, default_grid(sym, 400))) - exact) <= 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("coeffs", [{}, {1: 1.0}])
+    def test_infinite_cell_area_raises(self, coeffs):
+        # finite cell sides whose product overflows: 0 * inf or a sum times inf
+        d = hh_density(FourierSymbol(coeffs), 1.0, GridSpec(0.0, 1e308, -1.0, 3.0, 1, 1))
+        with pytest.raises(NonFiniteError, match="area inf"):
+            total_variation(d)
+        with pytest.raises(NonFiniteError, match="area inf"):
+            d.moment(P.x(), P.y())
+
     @pytest.mark.parametrize("name", ["shift", "figure-eight"])
     def test_converges_at_h_squared(self, name):
         coeffs, exact = self.CLOSED_FORMS[name]

@@ -122,7 +122,7 @@ def _validate_radii(radii, p: float, finite_band: bool):
     radii = tuple(float(r) for r in (default_radii() if radii is None else radii))
     if not radii or any(b <= a for a, b in zip(radii, radii[1:])):
         raise RangeError("radii must be nonempty and strictly increasing")
-    if radii[0] <= 0 or radii[-1] > 1.0:
+    if not (radii[0] > 0 and radii[-1] <= 1.0 and np.all(np.isfinite(radii))):
         raise RangeError("radii must lie in (0, 1]")
     if radii[-1] == 1.0:
         if not finite_band:

@@ -1,9 +1,11 @@
 """Command-line surface: symbol ingestion, experiment orchestration, reports.
 
 Subcommands: measure, trace-check, winding, index-check, smooth-limit,
-besov, gallery.  Outputs are deterministic: stable ordering, floats printed
-with 17 significant digits.  Exit codes: 0 success, 2 validation error,
-3 numerical failure; errors emit a JSON diagnostic on standard error.
+besov, gallery, each declared once in `_SUBCOMMANDS` by its handler and the
+options it reads.  Outputs are deterministic: stable ordering, floats printed
+with 17 significant digits.  `main` is the one error boundary: exit 0 on
+success, 2 on a validation error or an `--out` that cannot be opened, 3 on a
+numerical failure, each failure with one JSON diagnostic on standard error.
 """
 
 from __future__ import annotations
@@ -102,8 +104,6 @@ class RunConfig:
                 raise RangeError(f"r must lie in (0,1], got {r}")
         if self.tol is not None and not np.isfinite(self.tol):
             raise RangeError(f"tol must be finite, got {self.tol}")
-        if self.format not in ("json", "csv"):
-            raise RangeError(f"format must be json or csv, got {self.format}")
         if self.count < 1:
             raise RangeError(f"count must be >= 1, got {self.count}")
 
@@ -258,10 +258,7 @@ def _run_winding(config: RunConfig) -> int:
     r = _radius(config)
     eps = config.tol if config.tol is not None else 1e-8
     curve = SampledCurve.from_symbol(sym, r)
-    rows = []
-    for lam in config.points:
-        w = winding(curve, lam, eps)
-        rows.append({"lambda": lam, "winding": w})
+    rows = [{"lambda": lam, "winding": winding(curve, lam, eps)} for lam in config.points]
     _emit(config, [_dump_json({"r": r, "eps": eps, "rows": rows,
                                "tail_bound": sym.tail_bound}) + "\n"])
     return 0
@@ -339,33 +336,6 @@ def _run_gallery(config: RunConfig) -> int:
     return 0
 
 
-_SUBCOMMANDS = {
-    "measure": _run_measure,
-    "trace-check": _run_trace_check,
-    "winding": _run_winding,
-    "index-check": _run_index_check,
-    "smooth-limit": _run_smooth_limit,
-    "besov": _run_besov,
-    "gallery": _run_gallery,
-}
-
-
-def run(config: RunConfig) -> int:
-    """Execute a validated configuration; returns the process exit code."""
-    handler = _SUBCOMMANDS.get(config.subcommand)
-    if handler is None:
-        _diagnostic("schema", RangeError(f"unknown subcommand {config.subcommand!r}"))
-        return 2
-    try:
-        return handler(config)
-    except ValidationError as exc:
-        _diagnostic("schema", exc)
-        return 2
-    except NumericalError as exc:
-        _diagnostic("numerical", exc)
-        return 3
-
-
 # argparse settings of every option, stored under the RunConfig field names;
 # --p/--q are polynomials except on besov
 _ARGS = {
@@ -389,15 +359,15 @@ _ARGS = {
                               help="conjugate exponent (float or inf)")},
 }
 
-# the options each subcommand reads
-_OPTIONS = {
-    "measure": ("out", "symbol", "grid", "r", "format"),
-    "trace-check": ("out", "symbol", "grid", "r", "tol", "n", "poly"),
-    "winding": ("out", "symbol", "r", "tol", "point"),
-    "index-check": ("out", "symbol", "grid", "r", "point", "count"),
-    "smooth-limit": ("out", "symbol", "grid", "r", "poly"),
-    "besov": ("out", "symbol", "exponents"),
-    "gallery": ("out", "format"),
+# each subcommand's handler and the options it reads
+_SUBCOMMANDS = {
+    "measure": (_run_measure, ("out", "symbol", "grid", "r", "format")),
+    "trace-check": (_run_trace_check, ("out", "symbol", "grid", "r", "tol", "n", "poly")),
+    "winding": (_run_winding, ("out", "symbol", "r", "tol", "point")),
+    "index-check": (_run_index_check, ("out", "symbol", "grid", "r", "point", "count")),
+    "smooth-limit": (_run_smooth_limit, ("out", "symbol", "grid", "r", "poly")),
+    "besov": (_run_besov, ("out", "symbol", "exponents")),
+    "gallery": (_run_gallery, ("out", "format")),
 }
 
 
@@ -405,13 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hhmeasure",
                      description="Helton-Howe measure densities of Toeplitz operators")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    parsers = {}
-    for name, options in _OPTIONS.items():
-        sp = parsers[name] = sub.add_parser(name)
+    for name, (_, options) in _SUBCOMMANDS.items():
+        sp = sub.add_parser(name)
         for option in options:
             for flag, settings in _ARGS[option].items():
                 sp.add_argument(flag, **settings)
-    parsers["measure"].set_defaults(format="csv")
+    sub.choices["measure"].set_defaults(format="csv")
     return parser
 
 
@@ -426,16 +395,23 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Exit code of one invocation; any error not caught below is a bug and propagates."""
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
+        config = _config_from_args(build_parser().parse_args(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     except (ValidationError, ValueError) as exc:
         _diagnostic("schema", exc)
         return 2
-    return run(config)
+    handler, _ = _SUBCOMMANDS[config.subcommand]
+    try:
+        return handler(config)
+    except (ValidationError, OSError) as exc:
+        _diagnostic("schema", exc)
+        return 2
+    except NumericalError as exc:
+        _diagnostic("numerical", exc)
+        return 3
 
 
 if __name__ == "__main__":

@@ -49,7 +49,17 @@ _MAX_REFINE_PASSES = 48
 _MAX_CURVE_POINTS = 2 * _MAX_BAND
 _INT32 = np.iinfo(np.int32)
 _MASK_CELLS = 2  # rows and columns masked around each curve sample's cell
-_START_POINTS = 1024  # samples of a start curve, before chord refinement
+_START_POINTS = 1024  # least samples of a start curve, before chord refinement
+
+
+def _start_points(sym: FourierSymbol) -> int:
+    """Start samples: the least power of two >= 2 band, and at least _START_POINTS.
+
+    n samples see frequency k as k mod n, an aliasing that neither the chord
+    test nor `winding`'s bisection sees; from 2 band on, only -band and band
+    share samples, which then alternate in sign, and both refine them.
+    """
+    return max(_START_POINTS, 1 << (2 * sym.band - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -68,6 +78,8 @@ class GridSpec:
             raise RangeError("grid bounds must be finite")
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise RangeError("grid box must have positive extent")
+        if not all(isinstance(n, (int, np.integer)) for n in (self.nx, self.ny)):
+            raise RangeError(f"grid resolution must be integral, got {self.nx} x {self.ny}")
         if self.nx < 1 or self.ny < 1:
             raise RangeError("grid resolution must be >= 1")
         if not (self.hx > 0 and self.hy > 0):
@@ -168,8 +180,14 @@ class SampledCurve:
                               dtype=complex)
 
     @classmethod
-    def from_symbol(cls, sym: FourierSymbol, r: float, n: int = _START_POINTS) -> "SampledCurve":
-        """Sample the curve of phi_r at n uniform angles."""
+    def from_symbol(cls, sym: FourierSymbol, r: float, n: int | None = None) -> "SampledCurve":
+        """Sample the curve of phi_r at n uniform angles, by default `_start_points(sym)`.
+
+        An n below 2 band would alias the symbol's frequencies and raises RangeError.
+        """
+        n = _start_points(sym) if n is None else n
+        if n < 2 * sym.band:
+            raise RangeError(f"{n} samples alias the band {sym.band} curve; need {2 * sym.band}")
         blank = cls(sym, r, np.zeros(n, dtype=complex))  # checks sym and r before sampling
         return cls(sym, r, blank.evaluate(blank.angles))
 
@@ -221,6 +239,8 @@ def winding(curve: SampledCurve, lam: complex, eps: float) -> int:
     """
     if not eps > 0:
         raise RangeError("separation eps must be positive")
+    if not np.isfinite(lam):
+        raise RangeError(f"lambda must be finite, got {lam}")
     ang = np.append(curve.angles, 2 * np.pi)
     pts = np.append(curve.points, curve.points[0])
     for _ in range(_MAX_REFINE_PASSES):

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .degree import (_START_POINTS, GridSpec, MultiplicityGrid, SampledCurve, default_grid,
+from .degree import (GridSpec, MultiplicityGrid, SampledCurve, _start_points, default_grid,
                      multiplicity_grid, winding)
 from .errors import NonFiniteError, RangeError, WindingUndefined
 from .operators import _truncation, commutator_trace, schatten_norm, self_commutator
@@ -231,7 +231,7 @@ def index_check(sym: FourierSymbol, lam: complex, r: float,
     lam; masked cells raise WindingUndefined.
 
     The winding starts from the density's own curve, taken at every
-    (curve_points / _START_POINTS)-th sample: chord refinement keeps the
+    (curve_points / _start_points(sym))-th sample: chord refinement keeps the
     old points as the even ones, so these are bit for bit the start curve
     `SampledCurve.from_symbol(sym, r)`, and no query samples it again.  A
     density made from the curve of another symbol or radius raises RangeError.
@@ -246,7 +246,7 @@ def index_check(sym: FourierSymbol, lam: complex, r: float,
     cell_m = mg.value_at(lam)
     if cell_m is None:
         raise WindingUndefined(f"lambda = {lam} falls on a masked or outside cell")
-    curve = SampledCurve(sym, r, mg.curve.points[::max(1, mg.curve_points // _START_POINTS)])
+    curve = SampledCurve(sym, r, mg.curve.points[::max(1, mg.curve_points // _start_points(sym))])
     wind = winding(curve, lam, mg.eps / 4.0)
     value = complex(cell_m / (2j * np.pi))
     return wind, value, (cell_m == wind)

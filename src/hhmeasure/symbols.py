@@ -297,8 +297,8 @@ def load_symbol_spec(source) -> FourierSymbol:
         {"type": "finite_band", "coeffs": [{"k": 1, "re": 1.0, "im": 0.0}, ...]}
         {"type": "samples", "values": [[re, im], ...]}   # power-of-two length
 
-    Unknown fields, non-finite numbers (NaN, +-Infinity) and frequencies
-    with |k| > _MAX_BAND are rejected.
+    Unknown fields, non-finite numbers (NaN, +-Infinity), frequencies
+    with |k| > _MAX_BAND and more than 2 * _MAX_BAND samples are rejected.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -338,6 +338,8 @@ def load_symbol_spec(source) -> FourierSymbol:
         values = doc.get("values")
         if not isinstance(values, list):
             raise SchemaError("'values' must be a list")
+        if len(values) > 2 * _MAX_BAND:  # n samples carry frequencies up to n / 2
+            raise SchemaError(f"at most {2 * _MAX_BAND} samples, got {len(values)}")
         samples = []
         for pair in values:
             if not (isinstance(pair, list) and len(pair) == 2

@@ -55,6 +55,11 @@ class TestAnalyticSeminorm:
             with pytest.raises(RangeError):
                 analytic_besov_seminorm(FourierSymbol({1: 1.0}), p)
 
+    @pytest.mark.parametrize("radii", [[0.5, math.nan], [math.nan, 0.9], [0.5, math.inf]])
+    def test_rejects_non_finite_radii(self, radii):
+        with pytest.raises(RangeError, match="radii"):
+            analytic_besov_seminorm(FourierSymbol({1: 1.0}), 2.0, radii)
+
     def test_rejects_coanalytic(self):
         with pytest.raises(RangeError):
             analytic_besov_seminorm(FourierSymbol({-1: 1.0}), 2.0)
@@ -137,6 +142,10 @@ class TestJacobianIntegrability:
         assert rep.partials[-1] == pytest.approx(0.75 * math.pi, abs=1e-8)
         assert rep.bound == pytest.approx(math.pi)
         assert rep.ok
+
+    def test_rejects_non_finite_radii(self):
+        with pytest.raises(RangeError, match="radii"):
+            jacobian_integrability(FourierSymbol({1: 1, -1: 0.5}), [0.5, math.nan, 0.9])
 
     def test_analytic_reported_without_bound(self):
         rep = jacobian_integrability(FourierSymbol({1: 1.0}), radii=[0.5, 1.0])

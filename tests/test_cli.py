@@ -302,6 +302,15 @@ class TestValidation:
         assert code == 2 and out == ""
         assert "finite" in json.loads(err)["message"]
 
+    @pytest.mark.parametrize("target, error", [("missing/x.csv", "FileNotFoundError"),
+                                               (".", "IsADirectoryError")])
+    def test_unopenable_out_exits_2(self, capsys, tmp_path, target, error):
+        code, out, err = run_cli(capsys, "gallery", "--out", str(tmp_path / target))
+        assert (code, out) == (2, "")
+        diagnostic = strict_json(err)
+        assert (diagnostic["code"], diagnostic["error"]) == ("schema", error)
+        assert not (tmp_path / "missing").exists()
+
     def test_unknown_subcommand(self, capsys):
         code = main(["frobnicate"])
         assert code == 2
@@ -340,12 +349,20 @@ class TestErrorTaxonomy:
             def fail(config, cls=cls):
                 raise cls("injected")
 
-            monkeypatch.setitem(cli._SUBCOMMANDS, "gallery", fail)
+            monkeypatch.setitem(cli._SUBCOMMANDS, "gallery", (fail, cli._SUBCOMMANDS["gallery"][1]))
             code, out, err = run_cli(capsys, "gallery")
             base = next(b for b in self.CATEGORIES if issubclass(cls, b))
             diagnostic = strict_json(err)
             assert (code, diagnostic["code"]) == self.CATEGORIES[base], cls
             assert out == "" and diagnostic["error"] == cls.__name__
+
+    def test_other_errors_propagate(self, capsys, monkeypatch):
+        def fail(config):
+            raise TypeError("injected")
+
+        monkeypatch.setitem(cli._SUBCOMMANDS, "gallery", (fail, cli._SUBCOMMANDS["gallery"][1]))
+        with pytest.raises(TypeError, match="injected"):
+            main(["gallery"])
 
 
 class TestWinding:
@@ -369,6 +386,26 @@ class TestWinding:
                                  "--point=1e308,1e308", "--point=-1.7e308,1e-300")
         assert (code, err) == (0, "")
         assert [row["winding"] for row in strict_json(out)["rows"]] == [0, 0]
+
+
+@pytest.fixture
+def band_1029_symbol(tmp_path):
+    """One frequency above 512, which a 1024-point curve would see as 5."""
+    path = tmp_path / "band1029.json"
+    path.write_text(json.dumps({"type": "finite_band",
+                                "coeffs": [{"k": 1029, "re": 1, "im": 0}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [["winding"],
+                                  ["index-check", "--grid=-1.5,1.5,-1.5,1.5,20,20"]])
+def test_band_above_512_does_not_alias(capsys, band_1029_symbol, argv):
+    code, out, err = run_cli(capsys, *argv, "--symbol", band_1029_symbol, "--point=0,0")
+    assert (code, err) == (0, "")
+    rows = strict_json(out)["rows"]
+    assert [row["winding"] for row in rows] == [1029]
+    if argv[0] == "index-check":
+        assert rows[0]["ok"] and rows[0]["density"]["im"] == pytest.approx(-1029 / (2 * np.pi))
 
 
 class TestIndexCheck:

@@ -2,7 +2,8 @@
 
 Every invocation of `cli.main` either writes a report and exits 0, or
 writes nothing to stdout and exits 2 (validation) or 3 (numerical) with
-exactly one JSON diagnostic on stderr.  Reports are strict JSON or CSV
+exactly one JSON diagnostic on stderr.  An `--out` under a missing directory
+never exits 0 and creates no file.  Reports are strict JSON or CSV
 with one field count per line.  Numpy's floating-point warnings
 (RuntimeWarning) are errors here, because in a real process they would
 reach stderr beside the diagnostic.
@@ -24,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hhmeasure.cli import _OPTIONS, main
+from hhmeasure.cli import _SUBCOMMANDS, main
 
 
 def number_text(value) -> str:
@@ -111,13 +112,14 @@ def invocations(draw, sub: str):
     """(argv, symbol document or raw text) of one generated call of sub.
 
     At most one option, or the symbol, is ill-formed, and in three calls of
-    four none is, so that most calls reach the numerics.
+    four none is, so that most calls reach the numerics.  The only ill-formed
+    --out is a path under a missing directory.
     """
-    options = [o for o in _OPTIONS[sub] if o != "out"]
+    options = list(_SUBCOMMANDS[sub][1])
     bad = draw(st.sampled_from([None] * (3 * len(options)) + options))
     argv = [sub]
     for option in options:
-        if option == "symbol":
+        if option in ("symbol", "out"):
             continue
         good, junk = VALUES[option]
         # the grid caps the cells; smooth-limit takes several radii, and points
@@ -129,6 +131,8 @@ def invocations(draw, sub: str):
             if option == bad:
                 values.append(draw(junk))
             argv += [f"{flag}={value}" for value in values]
+    if bad == "out":
+        argv.append("--out=MISSING")
     symbol = draw(BAD_SYMBOL if bad == "symbol" else SYMBOL)
     if "symbol" in options and not (bad == "symbol" and draw(st.booleans())):
         argv.append("--symbol=SYMBOL")
@@ -157,15 +161,20 @@ def check_csv(text: str) -> None:
 def check_call(argv, symbol) -> None:
     """Run main on argv with the symbol written to a file, and check the contract."""
     out, err = io.StringIO(), io.StringIO()
+    unwritable = "--out=MISSING" in argv
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "symbol.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(symbol if isinstance(symbol, str) else json.dumps(symbol))
-        argv = [f"--symbol={path}" if a == "--symbol=SYMBOL" else a for a in argv]
+        missing = os.path.join(tmp, "missing")
+        argv = [f"--symbol={path}" if a == "--symbol=SYMBOL"
+                else f"--out={os.path.join(missing, 'report')}" if a == "--out=MISSING"
+                else a for a in argv]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
+        assert not os.path.exists(missing)
     out, err = out.getvalue(), err.getvalue()
-    assert code in (0, 2, 3), (argv, code, err)
+    assert code in ((2, 3) if unwritable else (0, 2, 3)), (argv, code, err)
     if code == 0:
         assert err == ""
         if out.startswith("{"):
@@ -181,7 +190,7 @@ def check_call(argv, symbol) -> None:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("sub", sorted(_OPTIONS))
+@pytest.mark.parametrize("sub", sorted(_SUBCOMMANDS))
 def test_every_input_gives_a_report_or_one_diagnostic(sub):
     @settings(max_examples=EXAMPLES.get(sub, 30), derandomize=True, deadline=None,
               database=None,
@@ -203,6 +212,8 @@ ROTATED_SHIFT = {"type": "finite_band", "coeffs": [{"k": 1, "re": 0.0, "im": 1.0
     (["smooth-limit", "--grid=0.0,1e+308,1.0,3.0,1,1", "--symbol=SYMBOL"], ZERO),
     # in units of a 1e308-tall cell the curve's rises are subnormal
     (["smooth-limit", "--grid=0.0,1.0,2.0,1e+308,1,1", "--symbol=SYMBOL"], ROTATED_SHIFT),
+    # an --out that cannot be opened ended in a traceback
+    (["gallery", "--out=MISSING"], ZERO),
 ])
 def test_found_inputs(argv, symbol):
     """Inputs that generated calls once found, kept whatever hypothesis draws."""

@@ -55,6 +55,17 @@ class TestWinding:
         with pytest.raises(RangeError, match="eps"):
             winding(curve, 1 + 0j, float("nan"))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [complex("nan"), complex("inf"), complex(0, -np.inf)])
+    def test_non_finite_lambda_rejected(self, lam):
+        with pytest.raises(RangeError, match="lambda must be finite"):
+            winding(SampledCurve.from_symbol(SHIFT, 1.0), lam, 1e-8)
+
+    @pytest.mark.parametrize("k", [1029, -1029, 2053])
+    def test_band_above_512_does_not_alias(self, k):
+        curve = SampledCurve.from_symbol(FourierSymbol({k: 1.0}), 1.0)
+        assert winding(curve, 0.0, 1e-8) == k
+
     def test_separation_failure(self):
         curve = SampledCurve.from_symbol(SHIFT, 1.0, n=4096)
         with pytest.raises(WindingUndefined):
@@ -397,6 +408,21 @@ class TestChordCap:
         curve = SampledCurve.from_symbol(SHIFT, 1.0, n=8)
         with pytest.raises(NonIntegerError, match="bisection passed 8 points"):
             winding(curve, 0.9, 1e-4)
+
+
+class TestStartCurve:
+    """A start curve has at least 2 band samples, so no frequency aliases."""
+
+    @pytest.mark.parametrize("band, count", [(0, 1024), (1, 1024), (512, 1024), (513, 2048),
+                                             (1029, 4096)])
+    def test_default_count(self, band, count):
+        assert SampledCurve.from_symbol(FourierSymbol({band: 1.0}), 0.9).points.size == count
+
+    @pytest.mark.parametrize("n", [2, 1023])
+    def test_explicit_count_below_twice_the_band_raises(self, n):
+        with pytest.raises(RangeError, match="alias"):
+            SampledCurve.from_symbol(FourierSymbol({-512: 1.0}), 0.9, n)
+        SampledCurve.from_symbol(FourierSymbol({-512: 1.0}), 0.9, 1024)
 
 
 class TestRefineToChord:
@@ -776,6 +802,15 @@ class TestGridSpec:
     def test_validation(self):
         with pytest.raises(RangeError):
             GridSpec(1, 0, 0, 1, 4, 4)
+
+    @pytest.mark.parametrize("nx, ny", [(2.5, 3), (3, 4.0), ("4", 4), (None, 4)])
+    def test_non_integral_resolution(self, nx, ny):
+        with pytest.raises(RangeError, match="integral"):
+            GridSpec(-1.5, 1.5, -1.5, 1.5, nx, ny)
+
+    def test_numpy_integer_resolution(self):
+        grid = GridSpec(-1.5, 1.5, -1.5, 1.5, np.int64(3), np.int32(2))
+        assert (grid.hx, grid.hy) == (1.0, 1.5)
 
     @pytest.mark.parametrize("bounds", [
         (-np.inf, 1, -1, 1), (-1, np.inf, -1, 1), (-1, 1, np.nan, 1), (np.nan,) * 4,

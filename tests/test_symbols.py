@@ -255,6 +255,11 @@ class TestSymbolSpecFiles:
                                 "coeffs": [{"k": -2 ** 17, "re": 1.0, "im": 0.0}]})
         assert sym.band == 2 ** 17
 
+    def test_more_samples_than_the_band_bound_rejected(self):
+        # 2^18 + 1 samples would carry frequencies above 2^17
+        with pytest.raises(SchemaError, match="at most 262144 samples"):
+            load_symbol_spec({"type": "samples", "values": [[1.0, 0.0]] * (2 ** 18 + 1)})
+
     @pytest.mark.filterwarnings("error")
     def test_samples_whose_transform_overflows(self):
         with pytest.raises(NonFiniteError):

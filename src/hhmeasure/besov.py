@@ -215,8 +215,8 @@ def almost_normal_sufficient(sym: FourierSymbol, p: float, q: float,
 class JacobianIntegrabilityReport:
     radii: tuple
     partials: tuple
-    bound: float | None
-    ok: bool | None
+    bound: float
+    ok: bool
 
     def to_dict(self) -> dict:
         return {"radii": list(self.radii), "partials": list(self.partials),
@@ -224,22 +224,17 @@ class JacobianIntegrabilityReport:
 
 
 def jacobian_integrability(sym: FourierSymbol, radii=None) -> JacobianIntegrabilityReport:
-    """Partial integrals of |J(Phi)| with the p = q = 2 Holder bound.
+    """Partial integrals of |J(Phi)| against their bound over the full disk.
 
-    The bound 2 (int |F'|^2)^{1/2} (int |G'|^2)^{1/2} over the full disk is
-    evaluated from the exact monomial identity int |F'|^2 = pi sum k |f(k)|^2.
-    The comparison is only made when both halves of the split are nonzero;
-    for analytic symbols the partials are reported without a bound.
+    With Phi = F + conj(G), |J| = ||F'|^2 - |G'|^2| <= |F'|^2 + |G'|^2, whose
+    integral over the disk is exactly pi sum_k |k| |phi(k)|^2 by the monomial
+    identity int |k z^{k-1}|^2 = pi |k|.  The bound holds for every symbol,
+    analytic ones included, where it is attained at r = 1.
     """
     radii = _validate_radii(radii, 2.0, sym.is_finite_band)
     partials = _disk_integral_partials(lambda r, z: np.abs(_jacobian(sym, z)), radii, sym.band)
-    f_energy = math.pi * sum(k * abs(c) ** 2 for k, c in sym.coeffs.items() if k >= 1)
-    g_energy = math.pi * sum(-k * abs(c) ** 2 for k, c in sym.coeffs.items() if k <= -1)
-    if f_energy > 0 and g_energy > 0:
-        bound = 2.0 * math.sqrt(f_energy) * math.sqrt(g_energy)
-        ok = all(v <= bound + 1e-8 for v in partials)
-    else:
-        bound, ok = None, None
+    bound = math.pi * sum(abs(k) * abs(c) ** 2 for k, c in sym.coeffs.items())
+    ok = all(v <= bound + 1e-8 for v in partials)
     return JacobianIntegrabilityReport(radii, tuple(partials), bound, ok)
 
 

@@ -2,17 +2,20 @@
 
 Subcommands: measure, trace-check, winding, index-check, smooth-limit,
 besov, gallery, each declared once in `_SUBCOMMANDS` by its handler and the
-options it reads.  Outputs are deterministic: stable ordering, floats printed
-with 17 significant digits.  `main` is the one error boundary: exit 0 on
-success, 2 on a validation error or an `--out` that cannot be opened, 3 on a
-numerical failure, each failure with one JSON diagnostic on standard error.
+options it reads.  Each option is declared once in `_ARGS`, with its default
+and an argparse type that parses and checks its value where argparse reads
+it; handlers read the parsed namespace.  Outputs are deterministic: stable
+ordering, floats printed with 17 significant digits.  `main` is the one
+error boundary: exit 0 on success, 2 on a validation error or an `--out`
+that cannot be opened, 3 on a numerical failure, each failure with one JSON
+diagnostic on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,87 +78,74 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
-@dataclass
-class RunConfig:
-    """Validated invocation: subcommand plus every tunable the CLI exposes."""
+def _checked(convert, ok, reason: str):
+    """argparse type: convert, then RangeError(reason) unless ok.  It keeps
+    convert's name, which argparse cites for a text that does not convert."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise RangeError(f"{reason}, got {value}")
+        return value
 
-    subcommand: str
-    symbol_path: str | None = None
-    grid: GridSpec | None = None
-    r_list: tuple = ()
-    n_override: int | None = None
-    tol: float | None = None
-    out_path: str | None = None
-    format: str = "json"
-    p_text: str | None = None
-    q_text: str | None = None
-    points: tuple = ()
-    count: int = 20
-    exponent_p: float | None = None
-    exponent_q: float | None = None
+    parse.__name__ = convert.__name__
+    return parse
 
-    def __post_init__(self):
-        if self.grid is not None:
-            cells = self.grid.nx * self.grid.ny
-            if cells > _MAX_CELLS:
-                raise RangeError(f"{cells} grid cells exceed the {_MAX_CELLS} cell guard")
-        for r in self.r_list:
-            if not 0.0 < r <= 1.0:
-                raise RangeError(f"r must lie in (0,1], got {r}")
-        if self.tol is not None and not np.isfinite(self.tol):
-            raise RangeError(f"tol must be finite, got {self.tol}")
-        if self.count < 1:
-            raise RangeError(f"count must be >= 1, got {self.count}")
+
+def _reasoned(parse):
+    """argparse type that keeps parse's reason: argparse would replace a
+    ValueError's message by "invalid <type> value", so it leaves as a RangeError."""
+    def typed(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise RangeError(str(exc)) from exc
+
+    return typed
 
 
 def _parse_grid(text: str) -> GridSpec:
     parts = text.split(",")
     if len(parts) != 6:
-        raise RangeError("grid must be x0,x1,y0,y1,nx,ny")
-    x0, x1, y0, y1 = (float(v) for v in parts[:4])
+        raise RangeError(f"grid must be x0,x1,y0,y1,nx,ny, got {text}")
+    bounds = [float(v) for v in parts[:4]]
     nx, ny = int(parts[4]), int(parts[5])
-    return GridSpec(x0, x1, y0, y1, nx, ny)
+    # before GridSpec, whose cell size overflows on a resolution beyond the float range
+    if nx * ny > _MAX_CELLS:
+        raise RangeError(f"{nx * ny} grid cells exceed the {_MAX_CELLS} cell guard")
+    return GridSpec(*bounds, nx, ny)
 
 
 def _parse_point(text: str) -> complex:
     parts = text.split(",")
     if len(parts) != 2:
-        raise RangeError("point must be re,im")
+        raise RangeError(f"point must be re,im, got {text}")
     point = complex(float(parts[0]), float(parts[1]))
     if not np.isfinite(point):
         raise RangeError(f"point must be finite, got {text}")
     return point
 
 
-def _load_symbol(config: RunConfig) -> FourierSymbol:
-    if not config.symbol_path:
+def _load_symbol(args) -> FourierSymbol:
+    if not args.symbol:
         raise RangeError("this subcommand requires --symbol")
-    return load_symbol_spec(config.symbol_path)
+    return load_symbol_spec(args.symbol)
 
 
-def _radius(config: RunConfig) -> float:
+def _radius(args) -> float:
     """The single --r, else 1: every symbol file gives an exact finite-band symbol."""
-    if len(config.r_list) > 1:
-        raise RangeError(f"{config.subcommand} takes one --r, got {len(config.r_list)}")
-    return config.r_list[0] if config.r_list else 1.0
+    radii = args.r or [1.0]
+    if len(radii) > 1:
+        raise RangeError(f"{args.subcommand} takes one --r, got {len(radii)}")
+    return radii[0]
 
 
-def _poly_or(text: str | None, fallback: BivariatePolynomial) -> BivariatePolynomial:
-    if text is None:
-        return fallback
-    try:
-        return parse_polynomial(text)
-    except ValueError as exc:
-        raise RangeError(str(exc)) from exc
-
-
-def _emit(config: RunConfig, chunks) -> None:
+def _emit(args, chunks) -> None:
     """Write an iterable of str chunks to --out, or to stdout without it.
 
     Callers do everything that can fail first, so a failed run opens no file.
     """
-    if config.out_path:
-        with open(config.out_path, "w", encoding="utf-8", newline="") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
     else:
         sys.stdout.writelines(chunks)
@@ -214,71 +204,68 @@ def _json_cells(rest: str, sx: list, sy: list, codes: np.ndarray, table: list):
     yield "\n  ],\n" + rest.removeprefix("{\n") + "\n"
 
 
-def _run_measure(config: RunConfig) -> int:
-    sym = _load_symbol(config)
-    r = _radius(config)
-    grid = config.grid or default_grid(sym)
+def _run_measure(args) -> int:
+    sym = _load_symbol(args)
+    r = _radius(args)
+    grid = args.grid or default_grid(sym)
     density = hh_density(sym, r, grid)
     codes, table = _cell_codes(density)
     sx = [_fmt(x) for x in grid.centers_x()]
     sy = [_fmt(y) for y in grid.centers_y()]
-    if config.format == "csv":
+    if args.format == "csv":
         head = (f"# grid=({_fmt(grid.x0)},{_fmt(grid.x1)},{_fmt(grid.y0)},{_fmt(grid.y1)})"
                 f" nx={grid.nx} ny={grid.ny} r={_fmt(r)}"
                 f" tail_bound={_fmt(sym.tail_bound)}"
                 f" masked_area_fraction={_fmt(density.masked_area_fraction)}\n"
                 "x,y,density_re,density_im,valid\n")
-        _emit(config, _csv_rows(head, sx, sy, codes, table))
+        _emit(args, _csv_rows(head, sx, sy, codes, table))
     else:
         rest = _dump_json({"grid": grid.to_dict(), "r": r, "tail_bound": sym.tail_bound,
                            "masked_area_fraction": density.masked_area_fraction})
-        _emit(config, _json_cells(rest, sx, sy, codes, table))
+        _emit(args, _json_cells(rest, sx, sy, codes, table))
     return 0
 
 
-def _run_trace_check(config: RunConfig) -> int:
-    sym = _load_symbol(config)
-    p = _poly_or(config.p_text, BivariatePolynomial.x())
-    q = _poly_or(config.q_text, BivariatePolynomial.y())
-    r = _radius(config)
-    grid = config.grid or default_grid(sym)
-    report = trace_formula_check(sym, p, q, grid, r, n_override=config.n_override)
-    _emit(config, [_dump_json(report.to_dict()) + "\n"])
-    if config.tol is not None and report.abs_err > config.tol:
+def _run_trace_check(args) -> int:
+    sym = _load_symbol(args)
+    report = trace_formula_check(sym, args.p, args.q, args.grid, _radius(args),
+                                 n_override=args.n)
+    _emit(args, [_dump_json(report.to_dict()) + "\n"])
+    if args.tol is not None and report.abs_err > args.tol:
         _diagnostic("tolerance", RangeError(
-            f"abs_err {report.abs_err:g} exceeds --tol {config.tol:g}"))
+            f"abs_err {report.abs_err:g} exceeds --tol {args.tol:g}"))
         return 3
     return 0
 
 
-def _run_winding(config: RunConfig) -> int:
-    sym = _load_symbol(config)
-    if not config.points:
+def _run_winding(args) -> int:
+    sym = _load_symbol(args)
+    if not args.point:
         raise RangeError("winding requires at least one --point re,im")
-    r = _radius(config)
-    eps = config.tol if config.tol is not None else 1e-8
+    r = _radius(args)
+    eps = args.tol if args.tol is not None else 1e-8
     curve = SampledCurve.from_symbol(sym, r)
-    rows = [{"lambda": lam, "winding": winding(curve, lam, eps)} for lam in config.points]
-    _emit(config, [_dump_json({"r": r, "eps": eps, "rows": rows,
-                               "tail_bound": sym.tail_bound}) + "\n"])
+    rows = [{"lambda": lam, "winding": winding(curve, lam, eps)} for lam in args.point]
+    _emit(args, [_dump_json({"r": r, "eps": eps, "rows": rows,
+                             "tail_bound": sym.tail_bound}) + "\n"])
     return 0
 
 
-def _run_index_check(config: RunConfig) -> int:
-    sym = _load_symbol(config)
-    r = _radius(config)
-    grid = config.grid or default_grid(sym)
+def _run_index_check(args) -> int:
+    sym = _load_symbol(args)
+    r = _radius(args)
+    grid = args.grid or default_grid(sym)
     density = hh_density(sym, r, grid)
-    points = list(config.points)
+    points = list(args.point or ())
     if not points:
         rng = np.random.default_rng(0)
-        budget = 50 * config.count
-        while len(points) < config.count and budget > 0:
+        budget = 50 * args.count
+        while len(points) < args.count and budget > 0:
             budget -= 1
             w = complex(rng.uniform(grid.x0, grid.x1), rng.uniform(grid.y0, grid.y1))
             if density.grid.value_at(w) is not None:
                 points.append(w)
-        if len(points) < config.count:
+        if len(points) < args.count:
             raise WindingUndefined("mask budget exhausted while sampling points")
     rows = []
     all_ok = True
@@ -286,39 +273,34 @@ def _run_index_check(config: RunConfig) -> int:
         wind, value, ok = index_check(sym, lam, r, density=density)
         all_ok &= ok
         rows.append({"lambda": lam, "winding": wind, "density": value, "ok": ok})
-    _emit(config, [_dump_json({"r": r, "all_ok": all_ok, "rows": rows,
-                               "tail_bound": sym.tail_bound,
-                               "masked_area_fraction": density.masked_area_fraction}) + "\n"])
+    _emit(args, [_dump_json({"r": r, "all_ok": all_ok, "rows": rows,
+                             "tail_bound": sym.tail_bound,
+                             "masked_area_fraction": density.masked_area_fraction}) + "\n"])
     return 0
 
 
-def _run_smooth_limit(config: RunConfig) -> int:
-    sym = _load_symbol(config)
-    p = _poly_or(config.p_text, BivariatePolynomial.x())
-    q = _poly_or(config.q_text, BivariatePolynomial.y())
-    r_list = config.r_list or (0.9, 0.99, 0.999)
-    grid = config.grid or default_grid(sym)
-    report = smoothing_limit_probe(sym, p, q, r_list, grid)
-    _emit(config, [_dump_json(report.to_dict()) + "\n"])
+def _run_smooth_limit(args) -> int:
+    sym = _load_symbol(args)
+    report = smoothing_limit_probe(sym, args.p, args.q, args.r or (0.9, 0.99, 0.999), args.grid)
+    _emit(args, [_dump_json(report.to_dict()) + "\n"])
     return 0
 
 
-def _run_besov(config: RunConfig) -> int:
-    sym = _load_symbol(config)
-    p = config.exponent_p if config.exponent_p is not None else 2.0
-    f_rep, g_rep = besov_mod.besov_membership(sym, p)
-    doc = {"p": p, "analytic_half": f_rep.to_dict(),
+def _run_besov(args) -> int:
+    sym = _load_symbol(args)
+    f_rep, g_rep = besov_mod.besov_membership(sym, args.p)
+    doc = {"p": args.p, "analytic_half": f_rep.to_dict(),
            "coanalytic_half": g_rep.to_dict(), "tail_bound": sym.tail_bound}
-    if config.exponent_q is not None:
-        verdict = besov_mod.almost_normal_sufficient(sym, p, config.exponent_q)
+    if args.q is not None:
+        verdict = besov_mod.almost_normal_sufficient(sym, args.p, args.q)
         doc["almost_normal_sufficient"] = verdict.to_dict()
-    _emit(config, [_dump_json(doc) + "\n"])
+    _emit(args, [_dump_json(doc) + "\n"])
     return 0
 
 
-def _run_gallery(config: RunConfig) -> int:
+def _run_gallery(args) -> int:
     rows = gallery_mod.summary_table()
-    if config.format == "csv":
+    if args.format == "csv":
         def cell(value):
             if value is None:
                 return ""
@@ -330,33 +312,35 @@ def _run_gallery(config: RunConfig) -> int:
         for row in rows:
             lines.append(f"{row['case']},{row['quantity']},"
                          f"{cell(row['computed'])},{cell(row['closed_form'])}")
-        _emit(config, ["\n".join(lines) + "\n"])
+        _emit(args, ["\n".join(lines) + "\n"])
     else:
-        _emit(config, [_dump_json({"rows": rows}) + "\n"])
+        _emit(args, [_dump_json({"rows": rows}) + "\n"])
     return 0
 
 
-# argparse settings of every option, stored under the RunConfig field names;
-# --p/--q are polynomials except on besov
+# argparse settings of every option: each parses and checks its value where
+# argparse reads it, and carries its default; --p/--q are polynomials except on besov
 _ARGS = {
-    "out": {"--out": dict(dest="out_path", metavar="PATH", help="output path (default: stdout)")},
-    "symbol": {"--symbol": dict(dest="symbol_path", metavar="PATH",
-                                help="path to a symbol-spec JSON file")},
-    "grid": {"--grid": dict(help="x0,x1,y0,y1,nx,ny")},
-    "r": {"--r": dict(dest="r_list", metavar="R", action="append", type=float,
+    "out": {"--out": dict(metavar="PATH", help="output path (default: stdout)")},
+    "symbol": {"--symbol": dict(metavar="PATH", help="path to a symbol-spec JSON file")},
+    "grid": {"--grid": dict(type=_reasoned(_parse_grid), help="x0,x1,y0,y1,nx,ny")},
+    "r": {"--r": dict(action="append", type=_checked(float, lambda r: 0.0 < r <= 1.0,
+                                                      "r must lie in (0,1]"),
                       help="smoothing radius in (0,1]; repeatable on smooth-limit")},
-    "format": {"--format": dict(choices=("json", "csv"))},
-    "tol": {"--tol": dict(type=float, help="tolerance (trace-check gate / winding eps)")},
-    "n": {"--n": dict(dest="n_override", metavar="N", type=int, help="truncation override")},
-    "poly": {"--p": dict(dest="p_text", metavar="POLY", help="polynomial, e.g. 'x^2*y+3*x'"),
-             "--q": dict(dest="q_text", metavar="POLY", help="polynomial, e.g. 'y'")},
-    "point": {"--point": dict(dest="points", metavar="RE,IM", action="append",
+    "format": {"--format": dict(choices=("json", "csv"), default="json")},
+    "tol": {"--tol": dict(type=_checked(float, math.isfinite, "tol must be finite"),
+                          help="tolerance (trace-check gate / winding eps)")},
+    "n": {"--n": dict(type=int, help="truncation override")},
+    "poly": {"--p": dict(metavar="POLY", type=_reasoned(parse_polynomial),
+                         default=BivariatePolynomial.x(), help="polynomial, e.g. 'x^2*y+3*x'"),
+             "--q": dict(metavar="POLY", type=_reasoned(parse_polynomial),
+                         default=BivariatePolynomial.y(), help="polynomial, e.g. 'y'")},
+    "point": {"--point": dict(metavar="RE,IM", action="append", type=_reasoned(_parse_point),
                               help="query point re,im; repeatable")},
-    "count": {"--count": dict(type=int, help="sampled points when --point is absent")},
-    "exponents": {"--p": dict(dest="exponent_p", metavar="P", type=float,
-                             help="Besov exponent"),
-                  "--q": dict(dest="exponent_q", metavar="Q", type=float,
-                              help="conjugate exponent (float or inf)")},
+    "count": {"--count": dict(type=_checked(int, lambda n: n >= 1, "count must be >= 1"),
+                              default=20, help="sampled points when --point is absent")},
+    "exponents": {"--p": dict(type=float, default=2.0, help="Besov exponent"),
+                  "--q": dict(type=float, help="conjugate exponent (float or inf)")},
 }
 
 # each subcommand's handler and the options it reads
@@ -384,28 +368,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    """RunConfig of the given options; absent ones keep the RunConfig defaults."""
-    opts = {k: v for k, v in vars(args).items() if v is not None}
-    if "grid" in opts:
-        opts["grid"] = _parse_grid(opts["grid"])
-    opts["points"] = tuple(_parse_point(t) for t in opts.get("points", ()))
-    opts["r_list"] = tuple(opts.get("r_list", ()))
-    return RunConfig(**opts)
-
-
 def main(argv=None) -> int:
     """Exit code of one invocation; any error not caught below is a bug and propagates."""
     try:
-        config = _config_from_args(build_parser().parse_args(argv))
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValidationError, ValueError) as exc:
+    except ValidationError as exc:
         _diagnostic("schema", exc)
         return 2
-    handler, _ = _SUBCOMMANDS[config.subcommand]
+    handler, _ = _SUBCOMMANDS[args.subcommand]
     try:
-        return handler(config)
+        return handler(args)
     except (ValidationError, OSError) as exc:
         _diagnostic("schema", exc)
         return 2

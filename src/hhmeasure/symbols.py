@@ -152,19 +152,13 @@ class FourierSymbol:
                              self.tail_bound, self.real_valued)
 
     def real_part(self) -> "FourierSymbol":
-        coeffs = {}
-        for k in set(self.coeffs) | {-k for k in self.coeffs}:
-            c = (self.coeff(k) + np.conj(self.coeff(-k))) / 2
-            if c != 0:
-                coeffs[k] = c
+        coeffs = {k: (self.coeff(k) + np.conj(self.coeff(-k))) / 2
+                  for k in set(self.coeffs) | {-k for k in self.coeffs}}
         return FourierSymbol(coeffs, self.tail_bound, real_valued=True)
 
     def imag_part(self) -> "FourierSymbol":
-        coeffs = {}
-        for k in set(self.coeffs) | {-k for k in self.coeffs}:
-            c = (self.coeff(k) - np.conj(self.coeff(-k))) / 2j
-            if c != 0:
-                coeffs[k] = c
+        coeffs = {k: (self.coeff(k) - np.conj(self.coeff(-k))) / 2j
+                  for k in set(self.coeffs) | {-k for k in self.coeffs}}
         return FourierSymbol(coeffs, self.tail_bound, real_valued=True)
 
     # -- series arrays ---------------------------------------------------------

@@ -136,21 +136,31 @@ class TestSufficientCondition:
 
 class TestJacobianIntegrability:
     def test_safe_example(self):
-        # int |J| = 0.75 pi over the disk; bound = 2 sqrt(pi) sqrt(pi/4) = pi
+        # int |J| = 0.75 pi over the disk; bound = pi (1 + 0.25) = 1.25 pi
         sym = FourierSymbol({1: 1.0, -1: 0.5})
         rep = jacobian_integrability(sym, radii=[0.5, 1.0])
         assert rep.partials[-1] == pytest.approx(0.75 * math.pi, abs=1e-8)
-        assert rep.bound == pytest.approx(math.pi)
+        assert rep.bound == pytest.approx(1.25 * math.pi)
         assert rep.ok
+
+    @pytest.mark.parametrize("coeffs", [{1: 1, 2: 0.4, -1: 0.2}, {1: 1, -2: 0.1}])
+    def test_bound_holds_where_both_halves_are_uneven(self, coeffs):
+        # the product of the halves' energies bounds neither: 3.98 > 1.44, 3.06 > 0.89
+        rep = jacobian_integrability(FourierSymbol(coeffs))
+        assert rep.bound == pytest.approx(math.pi * sum(abs(k) * c ** 2 for k, c in coeffs.items()))
+        assert rep.ok is True
+        assert all(v <= rep.bound for v in rep.partials)
 
     def test_rejects_non_finite_radii(self):
         with pytest.raises(RangeError, match="radii"):
             jacobian_integrability(FourierSymbol({1: 1, -1: 0.5}), [0.5, math.nan, 0.9])
 
-    def test_analytic_reported_without_bound(self):
+    def test_analytic_bound_attained_at_the_boundary(self):
+        # |J| = |F'|^2 when G = 0, so the bound is the integral over the whole disk
         rep = jacobian_integrability(FourierSymbol({1: 1.0}), radii=[0.5, 1.0])
-        assert rep.partials[-1] == pytest.approx(math.pi, abs=1e-8)
-        assert rep.bound is None and rep.ok is None
+        assert rep.bound == pytest.approx(math.pi)
+        assert rep.partials[-1] == pytest.approx(rep.bound, abs=1e-8)
+        assert rep.ok is True
 
     def test_constant_zero(self):
         rep = jacobian_integrability(FourierSymbol({0: 1.0}), radii=[0.5, 0.9])

@@ -311,6 +311,29 @@ class TestValidation:
         assert (diagnostic["code"], diagnostic["error"]) == ("schema", error)
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("argv, fragments", [
+        (["trace-check", "--p", "x^^2"], ["'x^^2'", "bad factor"]),
+        (["winding", "--point", "a,b"], ["'a'", "could not convert string to float"]),
+        (["measure", "--grid=-1,1,-1,1,4"], ["got -1,1,-1,1,4", "x0,x1,y0,y1,nx,ny"]),
+        (["measure", "--grid=-1,1,-1,1,10000,1001"], ["10010000 grid cells", "cell guard"]),
+        # a resolution beyond the float range overflowed GridSpec's cell size
+        (["measure", f"--grid=-1,1,-1,1,{10 ** 400},1"], [f"{10 ** 400} grid cells", "cell guard"]),
+        (["measure", "--r", "0"], ["got 0.0", "(0,1]"]),
+        (["measure", "--r", "1.5"], ["got 1.5", "(0,1]"]),
+        (["winding", "--point", "0,0", "--tol", "nan"], ["got nan", "finite"]),
+        (["index-check", "--count", "0"], ["got 0", ">= 1"]),
+    ])
+    def test_option_value_rejected_with_its_reason(self, capsys, shift_symbol, tmp_path,
+                                                    argv, fragments):
+        out = tmp_path / "report"
+        code, stdout, err = run_cli(capsys, argv[0], "--symbol", shift_symbol,
+                                    "--out", str(out), *argv[1:])
+        assert (code, stdout) == (2, "") and not out.exists()
+        diagnostic = strict_json(err)
+        assert (diagnostic["code"], diagnostic["error"]) == ("schema", "RangeError")
+        assert all(f in diagnostic["message"] for f in fragments), diagnostic["message"]
+        assert "invalid" not in diagnostic["message"]
+
     def test_unknown_subcommand(self, capsys):
         code = main(["frobnicate"])
         assert code == 2

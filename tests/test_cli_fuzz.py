@@ -25,7 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hhmeasure.cli import _SUBCOMMANDS, main
+from hhmeasure.cli import _ARGS, _SUBCOMMANDS, main
 
 
 def number_text(value) -> str:
@@ -96,9 +96,6 @@ VALUES = {
     "count": (st.integers(1, 5).map(str), st.one_of(st.integers(-2, 0).map(str), JUNK_TEXT)),
     "exponents": (st.sampled_from(["1", "1.5", "2", "3", "inf", "-inf"]), JUNK_TEXT),
 }
-FLAGS = {"grid": ["--grid"], "r": ["--r"], "format": ["--format"], "tol": ["--tol"],
-         "n": ["--n"], "poly": ["--p", "--q"], "point": ["--point"], "count": ["--count"],
-         "exponents": ["--p", "--q"]}
 # examples per subcommand where not 30: gallery reads nothing but --format,
 # and the subcommands that take points get more, as few points lie far from
 # the box; besov costs about 8 ms a call
@@ -126,7 +123,7 @@ def invocations(draw, sub: str):
         # are always given, as random ones on small grids mostly fall on masked cells
         least = int((option == "grid" and sub in GRIDDED) or option == "point")
         most = 3 if (option == "r" and sub == "smooth-limit") or option == "point" else 1
-        for flag in FLAGS[option]:
+        for flag in _ARGS[option]:
             values = draw(st.lists(good, min_size=least, max_size=most))
             if option == bad:
                 values.append(draw(junk))
@@ -187,6 +184,11 @@ def check_call(argv, symbol) -> None:
         diagnostic = strict_json(err)
         assert set(diagnostic) == {"error", "code", "message"}
         assert diagnostic["code"] == ("schema" if code == 2 else "numerical")
+
+
+def test_every_option_is_fuzzed():
+    # --symbol and --out are drawn by invocations itself
+    assert set(VALUES) == set(_ARGS) - {"symbol", "out"}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

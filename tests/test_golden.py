@@ -274,7 +274,7 @@ SPLIT_DIGESTS = {
     "hankel": "c8993e056a95bcb2693232867263bd8ebefaa3f522d418f9ed3f2ad28252e1da",
     "preimage": "136e04850e58b025e501ba250039ddaf268668a1f81081ecc8fe906a5a8a0f79",
     "besov": "357f2d7710783e73b53a054101ced2d5870a6f9c73954f062d59db1b9f91bf35",
-    "jacobian_integrability": "7ed51a6a776ec6b13899219d1d6349af81775de748133916a073e99264f272c9",
+    "jacobian_integrability": "ea67af92b40aa5884bac26159843349ce63889e0d2bacf2d22faa4f3f19c856f",
 }
 
 

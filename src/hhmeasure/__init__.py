@@ -16,8 +16,8 @@ from .gallery import (WeightedShiftSpec, cesaro_commutator, perturbation_family_
 from .measure import (MeasureDensity, TraceFormulaReport, brown_bound_check,
                       hh_density, index_check, smoothing_limit_probe,
                       total_variation, trace_formula_check)
-from .operators import (TruncatedMatrix, commutator_trace, hankel_matrix, schatten_norm,
-                        self_commutator, smoothing_trace_identity, toeplitz_matrix)
+from .operators import (commutator_trace, hankel_matrix, schatten_norm, self_commutator,
+                        smoothing_trace_identity, toeplitz_matrix)
 from .poly import BivariatePolynomial, jacobian_bracket, parse_polynomial
 from .symbols import FourierSymbol, load_symbol_spec
 
@@ -30,8 +30,8 @@ __all__ = [
     # polynomials
     "BivariatePolynomial", "jacobian_bracket", "parse_polynomial",
     # operators
-    "TruncatedMatrix", "toeplitz_matrix", "hankel_matrix", "self_commutator",
-    "commutator_trace", "schatten_norm", "smoothing_trace_identity",
+    "toeplitz_matrix", "hankel_matrix", "self_commutator", "commutator_trace",
+    "schatten_norm", "smoothing_trace_identity",
     # degree
     "GridSpec", "SampledCurve", "MultiplicityGrid", "default_grid", "winding",
     "multiplicity_grid", "preimage_multiplicity",

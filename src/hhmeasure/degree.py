@@ -35,6 +35,7 @@ their inputs.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -82,6 +83,8 @@ class GridSpec:
             raise RangeError(f"grid resolution must be integral, got {self.nx} x {self.ny}")
         if self.nx < 1 or self.ny < 1:
             raise RangeError("grid resolution must be >= 1")
+        if max(self.nx, self.ny) > sys.float_info.max:  # exact for an int; the cell size is not
+            raise RangeError("grid resolution exceeds the float range")
         if not (self.hx > 0 and self.hy > 0):
             raise RangeError("grid cells must have positive size")
         # finite bounds can still overflow their difference, and so hx and hy,

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OrderError, RangeError, WindowError
+from .operators import schatten_norm
 
 
 @dataclass(frozen=True)
@@ -182,9 +183,7 @@ def hs_cutoff_commutator_norms(t: np.ndarray) -> list[float]:
     for n in range(dim + 1):
         cut = t.copy()
         cut[:, :n] = 0.0
-        comm = cut.conj().T @ cut - cut @ cut.conj().T
-        sv = np.linalg.svd(comm, compute_uv=False)
-        norms.append(float(np.sum(sv)))
+        norms.append(schatten_norm(cut.conj().T @ cut - cut @ cut.conj().T, 1))
     return norms
 
 

@@ -35,13 +35,6 @@ from .operators import _truncation, commutator_trace, schatten_norm, self_commut
 from .poly import BivariatePolynomial, jacobian_bracket
 from .symbols import FourierSymbol
 
-__all__ = [
-    "BivariatePolynomial", "jacobian_bracket", "MeasureDensity",
-    "TraceFormulaReport", "hh_density", "trace_formula_check",
-    "total_variation", "brown_bound_check", "index_check",
-    "smoothing_limit_probe",
-]
-
 _MAX_MOMENT_DEGREE = 2048  # deg p + deg q; the contour rule solves a ~(degree / 2)^2 eigenproblem
 
 

@@ -5,13 +5,13 @@ computable on finite corners: Toeplitz truncations are entrywise exact,
 Hankel matrices and self-commutators are finitely supported, and every
 word in X = T_{Re phi}, Y = T_{Im phi} agrees with the infinite product on
 a corner once the inner truncation is padded by (word length) x (band).
+Every block is a complex numpy array, gathered from one coefficient table.
 All operations are pure; results may be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,94 +19,88 @@ from .errors import NonFiniteError, RangeError, StabilizationError, TailError
 from .poly import BivariatePolynomial
 from .symbols import FourierSymbol
 
-_HERM_TOL = 1e-12
 _MAX_BLOCK = 2048  # largest side of a dense commutator block; one block is 64 MiB
-
-
-@dataclass(frozen=True)
-class TruncatedMatrix:
-    """N x N complex block; ``selfadjoint`` blocks are checked to be Hermitian."""
-
-    dim: int
-    entries: np.ndarray
-    selfadjoint: bool = False
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.shape != (self.dim, self.dim):
-            raise ValueError(f"entries shape {entries.shape} != ({self.dim}, {self.dim})")
-        if not np.all(np.isfinite(entries.view(float))):
-            raise ValueError("matrix entries must be finite")
-        if self.selfadjoint:
-            scale = max(1.0, float(np.max(np.abs(entries))))
-            if np.max(np.abs(entries - entries.conj().T)) > _HERM_TOL * scale:
-                raise ValueError("matrix tagged self-adjoint is not Hermitian")
-        object.__setattr__(self, "entries", entries)
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
 
 
 # -- matrix constructions -----------------------------------------------------
 
-def toeplitz_matrix(sym: FourierSymbol, n: int) -> TruncatedMatrix:
-    """T_phi truncation: entry(m, k) = c(m - k).  Entrywise exact.
+def _gather(a: np.ndarray, rows: int, cols: int, hankel: bool) -> np.ndarray:
+    """rows x cols block of a, zero past its end: entry (i, j) is a[i + j + 1]
+    (Hankel) or a[i - j + cols - 1] (Toeplitz, a lists the diagonals top right first)."""
+    size = rows + cols
+    table = np.zeros(size, dtype=complex)
+    table[:min(len(a), size)] = a[:size]
+    i, j = np.arange(rows)[:, None], np.arange(cols)
+    return table[i + j + 1 if hankel else i - j + cols - 1]
 
-    A coefficient that overflowed, as the real or imaginary part of a symbol
-    near the float limit can, raises NonFiniteError.
-    """
+
+def _check_block(sym: FourierSymbol, n: int, name: str) -> None:
     if n < 1:
         raise RangeError("dimension must be >= 1")
     if not all(np.isfinite(c) for c in sym.coeffs.values()):
-        raise NonFiniteError("Toeplitz matrix of a symbol with non-finite coefficients")
-    idx = np.arange(n)
-    diff = idx[:, None] - idx[None, :]
-    ent = np.zeros((n, n), dtype=complex)
+        raise NonFiniteError(f"{name} matrix of a symbol with non-finite coefficients")
+
+
+def _square(mat) -> np.ndarray:
+    """A matrix from outside as a complex array; RangeError unless square and finite."""
+    x = np.asarray(mat, dtype=complex)
+    if x.ndim != 2 or x.shape[0] != x.shape[1]:
+        raise RangeError(f"matrix must be square, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise RangeError("matrix entries must be finite")
+    return x
+
+
+def toeplitz_matrix(sym: FourierSymbol, n: int) -> np.ndarray:
+    """T_phi truncation: entry(m, k) = c(m - k).  Entrywise exact.
+
+    Hermitian for a real-valued symbol, whose c(-k) = conj c(k) the symbol
+    checks.  A coefficient that overflowed, as the real or imaginary part of
+    a symbol near the float limit can, raises NonFiniteError.
+    """
+    _check_block(sym, n, "Toeplitz")
+    diagonals = np.zeros(2 * n - 1, dtype=complex)  # c(-(n-1)), ..., c(n-1)
     for k, c in sym.coeffs.items():
-        ent[diff == k] = c
-    return TruncatedMatrix(n, ent, selfadjoint=sym.real_valued)
+        if abs(k) < n:
+            diagonals[k + n - 1] = c
+    return _gather(diagonals, n, n, hankel=False)
 
 
-def hankel_matrix(sym: FourierSymbol, n: int) -> TruncatedMatrix:
+def hankel_matrix(sym: FourierSymbol, n: int) -> np.ndarray:
     """H_phi truncation: entry(l-1, k) = c(-l-k), rows enumerating e_{-l}.
 
     For a band-K symbol all entries with (l-1) + k >= K vanish, so the
-    truncation is exact once n >= K.
+    truncation is exact once n >= K.  A non-finite coefficient raises
+    NonFiniteError.
     """
-    if n < 1:
-        raise RangeError("dimension must be >= 1")
-    idx = np.arange(n)
-    total = idx[:, None] + idx[None, :]  # (l-1) + k
-    ent = np.zeros((n, n), dtype=complex)
+    _check_block(sym, n, "Hankel")
+    a = np.zeros(2 * n, dtype=complex)  # 0, c(-1), ..., c(-(2n-1))
     for k, c in sym.coeffs.items():
-        if k < 0:
-            ent[total == (-k - 1)] = c
-    return TruncatedMatrix(n, ent)
+        if -2 * n < k < 0:
+            a[-k] = c
+    return _gather(a, n, n, hankel=True)
 
 
-def self_commutator(sym: FourierSymbol, n: int) -> TruncatedMatrix:
+def self_commutator(sym: FourierSymbol, n: int) -> np.ndarray:
     """[T_phi^*, T_phi] block via the coefficient formula.
 
     entry(m, k) = sum_{l>=1} f(m+l) conj(f(k+l)) - g(m+l) conj(g(k+l)),
     a finite sum for finite band; entries vanish once max(m, k) >= band.
-    Entries beyond the float range raise NonFiniteError.
+    Hermitian by construction, A A^* - B B^* with A and B the n x band
+    Hankel blocks of f and g.  Entries beyond the float range raise
+    NonFiniteError.
     """
     if n < 1:
         raise RangeError("dimension must be >= 1")
     fa, _, ga, _ = sym._split
-    band = sym.band
-    rows = min(n, band)
-    idx = np.arange(rows)[:, None] + np.arange(1, band + 1)  # m + l
-    af = np.zeros((n, max(band, 1)), dtype=complex)
-    ag = np.zeros((n, max(band, 1)), dtype=complex)
-    pad = np.zeros(2 * band, dtype=complex)
-    af[:rows, :band] = np.concatenate((fa, pad))[idx]
-    ag[:rows, :band] = np.concatenate((ga, pad))[idx]
+    cols = max(sym.band, 1)
+    af = _gather(fa, n, cols, hankel=True)
+    ag = _gather(ga, n, cols, hankel=True)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow shows in the check below
         ent = af @ af.conj().T - ag @ ag.conj().T
     if not np.all(np.isfinite(ent.view(float))):
         raise NonFiniteError("self-commutator entries overflow the float range")
-    return TruncatedMatrix(n, ent, selfadjoint=True)
+    return ent
 
 
 # -- traces ------------------------------------------------------------------------
@@ -132,8 +126,8 @@ def _commutator_block(sym: FourierSymbol, p: BivariatePolynomial,
     k = max(sym.band, 1)
     pad = (p.degree + q.degree) * k
     m = n + pad
-    x = toeplitz_matrix(sym.real_part(), m).entries
-    y = toeplitz_matrix(sym.imag_part(), m).entries
+    x = toeplitz_matrix(sym.real_part(), m)
+    y = toeplitz_matrix(sym.imag_part(), m)
     pm = _poly_in_xy(p, x, y)
     qm = _poly_in_xy(q, x, y)
     comm = pm @ qm - qm @ pm
@@ -182,14 +176,15 @@ def commutator_trace(sym: FourierSymbol, p: BivariatePolynomial,
     return t2
 
 
-def schatten_norm(mat: TruncatedMatrix, p: float) -> float:
-    """Schatten p-norm (sum sigma_i^p)^(1/p) of the whole block.
+def schatten_norm(mat, p: float) -> float:
+    """Schatten p-norm (sum sigma_i^p)^(1/p) of a square block.
 
-    p must lie in [1, inf); NaN is rejected too.
+    p must lie in [1, inf); NaN is rejected too.  A block that is not
+    square or not finite raises RangeError.
     """
     if not 1.0 <= p < math.inf:
         raise RangeError(f"Schatten exponent must lie in [1, inf), got {p}")
-    sv = np.linalg.svd(mat.entries, compute_uv=False)
+    sv = np.linalg.svd(_square(mat), compute_uv=False)
     if p == 1:
         return float(np.sum(sv))
     if p == 2:
@@ -213,21 +208,22 @@ def smoothing_trace_identity(sym: FourierSymbol, corner, r: float):
     then leaves the support of the commutator.  Every term is the trace of a
     product with one factor supported on a d x d window, so it is taken as
     the elementwise sum tr(A B) = sum(A * B.T) over the window of a single
-    self-commutator block of side d + band - 1.
+    self-commutator block of side d + band - 1.  A corner that is not
+    square or not finite raises RangeError.
     """
     if not 0.0 < r < 1.0:
         raise RangeError(f"Poisson radius must lie in (0,1), got {r}")
     if not sym.is_finite_band:
         raise TailError("trace decomposition needs an exact finite-band symbol")
-    x = corner.entries if isinstance(corner, TruncatedMatrix) else np.asarray(corner, dtype=complex)
+    x = _square(corner)
     d = x.shape[0]
     band = sym.band
 
-    lhs = complex(np.sum(self_commutator(sym.poisson_smooth(r), d).entries * x.T))
+    lhs = complex(np.sum(self_commutator(sym.poisson_smooth(r), d) * x.T))
 
     rv = r ** np.arange(d)
     rxr_t = (x * rv[:, None] * rv).T
-    c = self_commutator(sym, d + max(band - 1, 0)).entries
+    c = self_commutator(sym, d + max(band - 1, 0))
     rhs = r ** 2 * complex(np.sum(c[:d, :d] * rxr_t))
     for ell in range(2, band + 1):
         s = ell - 1

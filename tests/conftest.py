@@ -98,6 +98,42 @@ def dense_coverage(pts, grid):
     return np.cumsum(acc, axis=1, out=acc)[:, :grid.nx]
 
 
+def mask_toeplitz(sym, n):
+    """Reference Toeplitz block: one n x n mask m - k == k0 per coefficient c(k0)."""
+    idx = np.arange(n)
+    diff = idx[:, None] - idx[None, :]
+    ent = np.zeros((n, n), dtype=complex)
+    for k, c in sym.coeffs.items():
+        ent[diff == k] = c
+    return ent
+
+
+def mask_hankel(sym, n):
+    """Reference Hankel block: one n x n mask m + k == -k0 - 1 per coefficient c(k0), k0 < 0."""
+    idx = np.arange(n)
+    total = idx[:, None] + idx[None, :]
+    ent = np.zeros((n, n), dtype=complex)
+    for k, c in sym.coeffs.items():
+        if k < 0:
+            ent[total == (-k - 1)] = c
+    return ent
+
+
+def padded_self_commutator(sym, n):
+    """Reference self-commutator block: af, ag filled on their first min(n, band) rows
+    from zero-padded copies of the split's F and G, then af af^* - ag ag^*."""
+    fa, _, ga, _ = sym._split
+    band = sym.band
+    rows = min(n, band)
+    idx = np.arange(rows)[:, None] + np.arange(1, band + 1)  # m + l
+    af = np.zeros((n, max(band, 1)), dtype=complex)
+    ag = np.zeros((n, max(band, 1)), dtype=complex)
+    pad = np.zeros(2 * band, dtype=complex)
+    af[:rows, :band] = np.concatenate((fa, pad))[idx]
+    ag[:rows, :band] = np.concatenate((ga, pad))[idx]
+    return af @ af.conj().T - ag @ ag.conj().T
+
+
 def ring_by_ring_partials(integrand, radii, band: int) -> list[float]:
     """Reference disk quadrature: one integrand(r, thetas) call per ring.
 

@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from hhmeasure import FourierSymbol, TruncatedMatrix
+from hhmeasure import FourierSymbol
 from hhmeasure.besov import analytic_besov_seminorm, hankel_schatten_probe
 from hhmeasure.degree import (GridSpec, default_grid, multiplicity_grid,
                               preimage_multiplicity)
@@ -53,8 +53,8 @@ def test_01_shift_trace_formula(shift_density):
         assert abs(lhs - (-0.5j)) <= 1e-12
 
         # dense 30 x 30 oracle: trace over the supported corner
-        x = toeplitz_matrix(SHIFT.real_part(), 30).entries
-        y = toeplitz_matrix(SHIFT.imag_part(), 30).entries
+        x = toeplitz_matrix(SHIFT.real_part(), 30)
+        y = toeplitz_matrix(SHIFT.imag_part(), 30)
         oracle = complex(np.trace((x @ y - y @ x)[:10, :10]))
         assert abs(lhs - oracle) <= 1e-12
 
@@ -98,8 +98,7 @@ def test_04_extracting_r_randomized():
             band = int(rng.integers(1, 5))
             sym = random_symbol(rng, band)
             d = int(rng.integers(1, 9))
-            corner = TruncatedMatrix(
-                d, rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            corner = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             r = (0.3, 0.7, 0.95)[case % 3]
             lhs, rhs = smoothing_trace_identity(sym, corner, r)
             assert abs(lhs - rhs) <= 1e-10, f"case {case}: {abs(lhs - rhs)}"

@@ -5,7 +5,7 @@ import hhmeasure
 PUBLIC = [
     "BesovReport", "BivariatePolynomial", "FourierSymbol", "GridSpec",
     "MeasureDensity", "MultiplicityGrid", "SampledCurve", "TraceFormulaReport",
-    "TruncatedMatrix", "WeightedShiftSpec", "__version__",
+    "WeightedShiftSpec", "__version__",
     "almost_normal_sufficient", "analytic_besov_seminorm", "besov_membership",
     "brown_bound_check", "cesaro_commutator", "commutator_trace", "default_grid",
     "errors", "hankel_matrix", "hankel_schatten_probe", "hh_density", "index_check",

@@ -322,6 +322,7 @@ class TestValidation:
         (["measure", "--r", "1.5"], ["got 1.5", "(0,1]"]),
         (["winding", "--point", "0,0", "--tol", "nan"], ["got nan", "finite"]),
         (["index-check", "--count", "0"], ["got 0", ">= 1"]),
+        (["index-check", "--count", "1001"], ["got 1001", "at most 1000"]),
     ])
     def test_option_value_rejected_with_its_reason(self, capsys, shift_symbol, tmp_path,
                                                     argv, fragments):

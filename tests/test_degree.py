@@ -808,6 +808,11 @@ class TestGridSpec:
         with pytest.raises(RangeError, match="integral"):
             GridSpec(-1.5, 1.5, -1.5, 1.5, nx, ny)
 
+    @pytest.mark.parametrize("nx, ny", [(10 ** 400, 1), (1, 10 ** 400), (10 ** 309, 10 ** 309)])
+    def test_resolution_beyond_float_range(self, nx, ny):
+        with pytest.raises(RangeError, match="float range"):
+            GridSpec(-1.0, 1.0, -1.0, 1.0, nx, ny)
+
     def test_numpy_integer_resolution(self):
         grid = GridSpec(-1.5, 1.5, -1.5, 1.5, np.int64(3), np.int32(2))
         assert (grid.hx, grid.hy) == (1.0, 1.5)

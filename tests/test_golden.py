@@ -246,10 +246,10 @@ def split_outputs(quantity: str, sym: FourierSymbol):
     if quantity == "jacobian":
         return _jacobian(sym, SPLIT_POINTS).tobytes()
     if quantity == "self_commutator":
-        return b"".join(self_commutator(sym, n).entries.tobytes()
+        return b"".join(self_commutator(sym, n).tobytes()
                         for n in (1, 3, sym.band + 2))
     if quantity == "hankel":
-        return b"".join(hankel_matrix(sym, n).entries.tobytes() for n in (1, sym.band + 2))
+        return b"".join(hankel_matrix(sym, n).tobytes() for n in (1, sym.band + 2))
     if quantity == "preimage":
         counts = []
         for w in PREIMAGE_POINTS:

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from hhmeasure import FourierSymbol, TruncatedMatrix, operators
+from hhmeasure import FourierSymbol, operators
 from hhmeasure.errors import NonFiniteError, RangeError, StabilizationError, TailError
 from hhmeasure.operators import (commutator_trace, hankel_matrix, schatten_norm,
                                  self_commutator, smoothing_trace_identity, toeplitz_matrix,
                                  _commutator_block, _poly_in_xy, _truncation)
 from hhmeasure.poly import BivariatePolynomial as P, parse_polynomial
 
-from conftest import random_symbol
+from conftest import mask_hankel, mask_toeplitz, padded_self_commutator, random_symbol
 
 SHIFT = FourierSymbol({1: 1.0})
 
@@ -16,8 +16,8 @@ SHIFT = FourierSymbol({1: 1.0})
 def dense_self_commutator(sym, n, pad=12):
     """Oracle: H_{conj phi}^* H_{conj phi} - H_phi^* H_phi from oversized blocks."""
     m = n + sym.band + pad
-    hbar = hankel_matrix(sym.conjugate(), m).entries
-    h = hankel_matrix(sym, m).entries
+    hbar = hankel_matrix(sym.conjugate(), m)
+    h = hankel_matrix(sym, m)
     full = hbar.conj().T @ hbar - h.conj().T @ h
     return full[:n, :n]
 
@@ -25,50 +25,56 @@ def dense_self_commutator(sym, n, pad=12):
 class TestToeplitz:
     def test_shift(self):
         t = toeplitz_matrix(SHIFT, 3)
-        assert np.array_equal(t.entries, np.diag([1.0, 1.0], -1).astype(complex))
+        assert np.array_equal(t, np.diag([1.0, 1.0], -1).astype(complex))
 
     def test_constant(self):
         t = toeplitz_matrix(FourierSymbol({0: 2.0}), 4)
-        assert np.array_equal(t.entries, 2.0 * np.eye(4))
+        assert np.array_equal(t, 2.0 * np.eye(4))
 
     def test_cosine_tridiagonal(self):
         t = toeplitz_matrix(FourierSymbol({1: 1.0, -1: 1.0}, real_valued=True), 3)
         expect = np.diag([1.0, 1.0], -1) + np.diag([1.0, 1.0], 1)
-        assert np.array_equal(t.entries, expect.astype(complex))
-        assert t.selfadjoint
+        assert np.array_equal(t, expect.astype(complex))
+        assert np.array_equal(t, t.conj().T)
 
 
 class TestHankel:
     def test_analytic_is_zero(self):
         h = hankel_matrix(FourierSymbol({1: 1.0, 3: 0.5}), 4)
-        assert not h.entries.any()
+        assert not h.any()
 
     def test_single_negative(self):
         h = hankel_matrix(FourierSymbol({-1: 1.0}), 2)
-        assert h.entries[0, 0] == 1.0
-        assert np.count_nonzero(h.entries) == 1
+        assert h[0, 0] == 1.0
+        assert np.count_nonzero(h) == 1
 
     def test_antidiagonal_rule(self):
         h = hankel_matrix(FourierSymbol({-2: 1.0}), 3)
-        assert h.entries[0, 1] == 1.0 and h.entries[1, 0] == 1.0
-        assert np.count_nonzero(h.entries) == 2
+        assert h[0, 1] == 1.0 and h[1, 0] == 1.0
+        assert np.count_nonzero(h) == 2
+
+    @pytest.mark.parametrize("build", [hankel_matrix, toeplitz_matrix])
+    @pytest.mark.parametrize("c", [np.inf, complex(0.0, -np.inf), np.nan])
+    def test_non_finite_coefficient(self, build, c):
+        with pytest.raises(NonFiniteError):
+            build(FourierSymbol({-1: c, 1: 1.0}), 2)
 
 
 class TestSelfCommutator:
     def test_shift_rank_one(self):
-        c = self_commutator(SHIFT, 5).entries
-        s = toeplitz_matrix(SHIFT, 20).entries
+        c = self_commutator(SHIFT, 5)
+        s = toeplitz_matrix(SHIFT, 20)
         oracle = (s.conj().T @ s - s @ s.conj().T)[:5, :5]
         assert np.allclose(c, oracle, atol=1e-14)
         assert c[0, 0] == pytest.approx(1.0)
 
     def test_real_symbol_normal(self, rng):
         sym = random_symbol(rng, 3, real=True)
-        assert not self_commutator(sym, 6).entries.any()
+        assert not self_commutator(sym, 6).any()
 
     def test_shift_plus_half_conj(self):
         sym = FourierSymbol({1: 1.0, -1: 0.5})
-        c = self_commutator(sym, 4).entries
+        c = self_commutator(sym, 4)
         assert np.allclose(c, np.diag([0.75, 0, 0, 0]).astype(complex), atol=1e-14)
         assert np.allclose(c, dense_self_commutator(sym, 4), atol=1e-13)
 
@@ -77,14 +83,42 @@ class TestSelfCommutator:
         for _ in range(6):
             sym = random_symbol(rng, int(rng.integers(1, 6)))
             n = int(rng.integers(2, 33))
-            c = self_commutator(sym, n).entries
+            c = self_commutator(sym, n)
             assert np.max(np.abs(c - dense_self_commutator(sym, n))) < 1e-12
 
     def test_corner_support(self, rng):
         sym = random_symbol(rng, 3)
-        c = self_commutator(sym, 10).entries
+        c = self_commutator(sym, 10)
         assert not c[3:, :].any()
         assert not c[:, 3:].any()
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestGatheredBlocks:
+    """The gathered blocks equal, byte for byte, the one-mask-per-coefficient
+    loops and the padded index arrays that built them before (conftest)."""
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_match_references(self, rng, real):
+        for band in (0, 1, 2, 3, 5, 8):
+            for _ in range(4):
+                sym = random_symbol(rng, band, real=real)
+                # n < band, n = band and n > 2 band
+                for n in sorted({1, 2, max(band - 1, 1), max(band, 1), band + 1, 2 * band + 3}):
+                    assert same_bytes(toeplitz_matrix(sym, n), mask_toeplitz(sym, n))
+                    assert same_bytes(hankel_matrix(sym, n), mask_hankel(sym, n))
+                    assert same_bytes(self_commutator(sym, n), padded_self_commutator(sym, n))
+
+    @pytest.mark.parametrize("coeffs", [{}, {0: 0.3 - 0.2j}, {-3: 0.5}, {7: -0.0 + 1j}])
+    def test_sparse_and_constant_symbols(self, coeffs):
+        sym = FourierSymbol(coeffs)
+        for n in (1, 2, 4, 9):
+            assert same_bytes(toeplitz_matrix(sym, n), mask_toeplitz(sym, n))
+            assert same_bytes(hankel_matrix(sym, n), mask_hankel(sym, n))
+            assert same_bytes(self_commutator(sym, n), padded_self_commutator(sym, n))
 
 
 class TestPaddedProduct:
@@ -97,8 +131,8 @@ class TestPaddedProduct:
         for sym in [SHIFT] + [random_symbol(rng, band) for band in (1, 2, 3)]:
             for n in (1, 4, 9):
                 m = n + 40
-                x = toeplitz_matrix(sym.real_part(), m).entries
-                y = toeplitz_matrix(sym.imag_part(), m).entries
+                x = toeplitz_matrix(sym.real_part(), m)
+                y = toeplitz_matrix(sym.imag_part(), m)
                 pm, qm = x @ x @ y, x @ y  # x^i y^j -> X^i Y^j
                 oracle = (pm @ qm - qm @ pm)[:n, :n]
                 block = _commutator_block(sym, p, q, n)
@@ -109,8 +143,8 @@ class TestCommutatorTrace:
     def test_shift_xy(self):
         t = commutator_trace(SHIFT, P.x(), P.y())
         # oracle: trace of the supported corner of the dense dim-30 commutator
-        x = toeplitz_matrix(SHIFT.real_part(), 30).entries
-        y = toeplitz_matrix(SHIFT.imag_part(), 30).entries
+        x = toeplitz_matrix(SHIFT.real_part(), 30)
+        y = toeplitz_matrix(SHIFT.imag_part(), 30)
         oracle = complex(np.trace((x @ y - y @ x)[:10, :10]))
         assert abs(t - oracle) < 1e-12
         assert abs(t - (-0.5j)) < 1e-12
@@ -127,8 +161,8 @@ class TestCommutatorTrace:
 
     def test_trace_matches_dense_oracle(self, rng):
         sym = FourierSymbol({1: 1.0, 2: 0.4, -1: 0.2})
-        x = toeplitz_matrix(sym.real_part(), 200).entries
-        y = toeplitz_matrix(sym.imag_part(), 200).entries
+        x = toeplitz_matrix(sym.real_part(), 200)
+        y = toeplitz_matrix(sym.imag_part(), 200)
         for p, q in [(P.x(), P.y()), (P.monomial(2, 0), P.y()), (P.x(), P.monomial(0, 2))]:
             pm, qm = _poly_in_xy(p, x, y), _poly_in_xy(q, x, y)
             oracle = complex(np.trace((pm @ qm - qm @ pm)[:40, :40]))
@@ -197,25 +231,34 @@ class TestCommutatorTrace:
 
 class TestSchatten:
     def test_identity_trace_norm(self):
-        mat = TruncatedMatrix(5, np.eye(5, dtype=complex))
-        assert schatten_norm(mat, 1) == pytest.approx(5.0)
+        assert schatten_norm(np.eye(5, dtype=complex), 1) == pytest.approx(5.0)
 
     def test_rank_one(self):
         e = np.zeros((4, 4), dtype=complex)
         e[0, 0] = 1.0
-        mat = TruncatedMatrix(4, e)
         for p in (1.0, 1.7, 2.0, 4.0):
-            assert schatten_norm(mat, p) == pytest.approx(1.0)
+            assert schatten_norm(e, p) == pytest.approx(1.0)
 
     def test_diag_3_4(self):
-        mat = TruncatedMatrix(2, np.diag([3.0, 4.0]).astype(complex))
-        assert schatten_norm(mat, 2) == pytest.approx(5.0)
+        assert schatten_norm(np.diag([3.0, 4.0]).astype(complex), 2) == pytest.approx(5.0)
 
     def test_rejects_p_below_one(self):
-        mat = TruncatedMatrix(2, np.eye(2, dtype=complex))
+        mat = np.eye(2, dtype=complex)
         for p in (0.5, np.inf, -np.inf, np.nan):
             with pytest.raises(RangeError):
                 schatten_norm(mat, p)
+
+    @pytest.mark.parametrize("c", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+    def test_rejects_non_finite_matrix(self, c):
+        mat = np.eye(3, dtype=complex)
+        mat[1, 2] = c
+        with pytest.raises(RangeError, match="finite"):
+            schatten_norm(mat, 1)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2)])
+    def test_rejects_non_square_matrix(self, shape):
+        with pytest.raises(RangeError, match="square"):
+            schatten_norm(np.ones(shape, dtype=complex), 2)
 
     def test_trace_cyclicity(self, rng):
         a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
@@ -225,18 +268,18 @@ class TestSchatten:
 
 class TestSmoothingIdentity:
     def test_shift_example(self):
-        corner = TruncatedMatrix(1, [[1.0]])
+        corner = np.array([[1.0]])
         lhs, rhs = smoothing_trace_identity(SHIFT, corner, 0.5)
         assert lhs == pytest.approx(0.25)
         assert rhs == pytest.approx(0.25)
 
     def test_zero_corner(self):
-        corner = TruncatedMatrix(3, np.zeros((3, 3), dtype=complex))
+        corner = np.zeros((3, 3), dtype=complex)
         assert smoothing_trace_identity(SHIFT, corner, 0.7) == (0, 0)
 
     def test_real_symbol(self, rng):
         sym = random_symbol(rng, 2, real=True)
-        corner = TruncatedMatrix(3, np.eye(3, dtype=complex))
+        corner = np.eye(3, dtype=complex)
         lhs, rhs = smoothing_trace_identity(sym, corner, 0.3)
         assert lhs == 0 and rhs == 0
 
@@ -246,8 +289,20 @@ class TestSmoothingIdentity:
             d = int(rng.integers(1, 9))
             x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
             r = float(rng.choice([0.3, 0.7, 0.95]))
-            lhs, rhs = smoothing_trace_identity(sym, TruncatedMatrix(d, x), r)
+            lhs, rhs = smoothing_trace_identity(sym, x, r)
             assert abs(lhs - rhs) <= 1e-10
+
+    @pytest.mark.parametrize("c", [np.inf, np.nan, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_corner(self, c):
+        corner = np.zeros((3, 3), dtype=complex)
+        corner[2, 0] = c
+        with pytest.raises(RangeError, match="finite"):
+            smoothing_trace_identity(SHIFT, corner, 0.5)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (1, 1, 1)])
+    def test_rejects_non_square_corner(self, shape):
+        with pytest.raises(RangeError, match="square"):
+            smoothing_trace_identity(SHIFT, np.ones(shape), 0.5)
 
 
 class TestSmoothingBound:
@@ -267,10 +322,10 @@ class TestWeakConvergenceProbe:
         sym = random_symbol(rng, 3)
         d = 5
         x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        target = complex(np.trace(self_commutator(sym, d).entries @ x))
+        target = complex(np.trace(self_commutator(sym, d) @ x))
         errs = []
         for r in (0.9, 0.99, 0.999):
-            c_r = self_commutator(sym.poisson_smooth(r), d).entries
+            c_r = self_commutator(sym.poisson_smooth(r), d)
             errs.append(abs(complex(np.trace(c_r @ x)) - target))
         assert errs[0] > errs[1] > errs[2]
 
@@ -288,14 +343,3 @@ class TestOverflow:
     def test_self_commutator_entries(self):
         with pytest.raises(NonFiniteError):
             self_commutator(FourierSymbol({1: 1e200, 2: 1e200}), 2)
-
-
-class TestTruncatedMatrix:
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            TruncatedMatrix(2, np.array([[np.inf, 0], [0, 0]], dtype=complex))
-
-    def test_selfadjoint_check(self):
-        with pytest.raises(ValueError):
-            TruncatedMatrix(2, np.array([[0, 1], [0, 0]], dtype=complex),
-                            selfadjoint=True)

@@ -36,10 +36,10 @@ _MAX_QUAD_BAND = 512  # largest band the disk quadrature takes; work per ring ~ 
 _BATCH_POINTS = 2 ** 16  # points per integrand call: 1 MB of complex
 
 
-def default_radii(levels: int = 4) -> tuple:
-    """Radii 1 - 4^{-j}; quadrupling the boundary approach makes saturating
+def default_radii() -> tuple:
+    """Radii 1 - 4^{-j}, j = 1..4; quadrupling the boundary approach makes saturating
     integrals shrink their increments well below the converging threshold."""
-    return tuple(1.0 - 4.0 ** (-j) for j in range(1, levels + 1))
+    return tuple(1.0 - 4.0 ** (-j) for j in range(1, 5))
 
 
 @dataclass(frozen=True)

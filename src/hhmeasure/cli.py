@@ -230,13 +230,10 @@ def _run_measure(args) -> int:
 
 def _run_trace_check(args) -> int:
     sym = _load_symbol(args)
-    report = trace_formula_check(sym, args.p, args.q, args.grid, _radius(args),
-                                 n_override=args.n)
-    _emit(args, [_dump_json(report.to_dict()) + "\n"])
+    report = trace_formula_check(sym, args.p, args.q, args.grid, _radius(args))
     if args.tol is not None and report.abs_err > args.tol:
-        _diagnostic("tolerance", RangeError(
-            f"abs_err {report.abs_err:g} exceeds --tol {args.tol:g}"))
-        return 3
+        raise NumericalError(f"abs_err {report.abs_err:g} exceeds --tol {args.tol:g}")
+    _emit(args, [_dump_json(report.to_dict()) + "\n"])
     return 0
 
 
@@ -330,9 +327,9 @@ _ARGS = {
                                                       "r must lie in (0,1]"),
                       help="smoothing radius in (0,1]; repeatable on smooth-limit")},
     "format": {"--format": dict(choices=("json", "csv"), default="json")},
-    "tol": {"--tol": dict(type=_checked(float, math.isfinite, "tol must be finite"),
-                          help="tolerance (trace-check gate / winding eps)")},
-    "n": {"--n": dict(type=int, help="truncation override")},
+    "tol": {"--tol": dict(type=_checked(float, lambda tol: 0.0 < tol < math.inf,
+                                        "tol must be positive and finite"),
+                          help="positive tolerance (trace-check gate / winding eps)")},
     "poly": {"--p": dict(metavar="POLY", type=_reasoned(parse_polynomial),
                          default=BivariatePolynomial.x(), help="polynomial, e.g. 'x^2*y+3*x'"),
              "--q": dict(metavar="POLY", type=_reasoned(parse_polynomial),
@@ -349,7 +346,7 @@ _ARGS = {
 # each subcommand's handler and the options it reads
 _SUBCOMMANDS = {
     "measure": (_run_measure, ("out", "symbol", "grid", "r", "format")),
-    "trace-check": (_run_trace_check, ("out", "symbol", "grid", "r", "tol", "n", "poly")),
+    "trace-check": (_run_trace_check, ("out", "symbol", "grid", "r", "tol", "poly")),
     "winding": (_run_winding, ("out", "symbol", "r", "tol", "point")),
     "index-check": (_run_index_check, ("out", "symbol", "grid", "r", "point", "count")),
     "smooth-limit": (_run_smooth_limit, ("out", "symbol", "grid", "r", "poly")),

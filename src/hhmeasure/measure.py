@@ -152,8 +152,7 @@ class TraceFormulaReport:
 
 def trace_formula_check(sym: FourierSymbol, p: BivariatePolynomial,
                         q: BivariatePolynomial, grid: GridSpec | None = None,
-                        r: float = 1.0,
-                        n_override: int | None = None) -> TraceFormulaReport:
+                        r: float = 1.0) -> TraceFormulaReport:
     """Compare tr([p(X,Y), q(X,Y)]) with the quadrature of J(p,q) * density.
 
     The operator side is the exact corner computation for the (smoothed)
@@ -167,12 +166,12 @@ def trace_formula_check(sym: FourierSymbol, p: BivariatePolynomial,
         raise RangeError(
             f"grid box must contain the closed disk of radius {reach:g}")
     sym_eff = sym.poisson_smooth(r) if r < 1.0 else sym
-    lhs = commutator_trace(sym_eff, p, q, n_override)
+    lhs = commutator_trace(sym_eff, p, q)
     density = hh_density(sym, r, grid)
     rhs, quad_err = density.moment(p, q)
     return TraceFormulaReport(
         lhs=lhs, rhs=rhs, quad_err_estimate=quad_err,
-        n_used=2 * _truncation(sym_eff, p, q, n_override), grid=grid,
+        n_used=2 * _truncation(sym_eff, p, q), grid=grid,
         masked_area_fraction=density.masked_area_fraction, tail_bound=sym.tail_bound)
 
 
@@ -214,14 +213,13 @@ def brown_bound_check(sym: FourierSymbol, r: float, grid: GridSpec | None = None
     return tv, bound, ok
 
 
-def index_check(sym: FourierSymbol, lam: complex, r: float,
-                grid: GridSpec | None = None,
-                density: MeasureDensity | None = None):
-    """Spot check of the index identity at one point.
+def index_check(sym: FourierSymbol, lam: complex, r: float, density: MeasureDensity):
+    """Spot check of the index identity at one point of a density.
 
-    ok holds iff the density cell containing lam equals wind / (2 pi i)
-    with wind the adaptively computed winding of the phi_r curve around
-    lam; masked cells raise WindingUndefined.
+    Returns (wind, value, ok): wind is the adaptively computed winding of
+    the phi_r curve around lam, value the density `hh_density(sym, r, grid)`
+    on the cell containing lam, and ok holds iff that cell's m equals wind.
+    Masked cells raise WindingUndefined.
 
     The winding starts from the density's own curve, taken at every
     (curve_points / _start_points(sym))-th sample: chord refinement keeps the
@@ -229,10 +227,6 @@ def index_check(sym: FourierSymbol, lam: complex, r: float,
     `SampledCurve.from_symbol(sym, r)`, and no query samples it again.  A
     density made from the curve of another symbol or radius raises RangeError.
     """
-    if density is None:
-        if grid is None:
-            grid = default_grid(sym)
-        density = hh_density(sym, r, grid)
     mg = density.grid
     if mg.curve.sym != sym or mg.curve.r != r:
         raise RangeError("the density must be made from the curve of this symbol and radius")

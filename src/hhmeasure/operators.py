@@ -134,32 +134,28 @@ def _commutator_block(sym: FourierSymbol, p: BivariatePolynomial,
     return comm[:n, :n]
 
 
-def _truncation(sym: FourierSymbol, p: BivariatePolynomial, q: BivariatePolynomial,
-                n_override: int | None = None) -> int:
-    """Truncation N of `commutator_trace`: n_override, else (deg p + deg q + 2) * band."""
-    n = n_override if n_override is not None else (p.degree + q.degree + 2) * max(sym.band, 1)
-    if n < 1:
-        raise RangeError("truncation override must be >= 1")
-    return n
+def _truncation(sym: FourierSymbol, p: BivariatePolynomial, q: BivariatePolynomial) -> int:
+    """Truncation N of `commutator_trace`: (deg p + deg q + 2) * band."""
+    return (p.degree + q.degree + 2) * max(sym.band, 1)
 
 
 def commutator_trace(sym: FourierSymbol, p: BivariatePolynomial,
-                     q: BivariatePolynomial, n_override: int | None = None) -> complex:
+                     q: BivariatePolynomial) -> complex:
     """Trace of the trace-class commutator [p(X,Y), q(X,Y)].
 
     Every word of length L in band-K Toeplitz operators is Toeplitz plus a
     correction supported in an (L*K) x (L*K) corner, so the commutator is
     exactly supported in a ((deg p + deg q + 1) * K)^2 corner and its trace
     is a finite computation.  A stabilization check guards the support
-    reasoning (and any caller-supplied override): one exact block of side
-    2n, with n = `_truncation`, gives both t(2n) and, on its leading n x n
-    corner, t(n).  The padded block side 2n + (deg p + deg q) * K may not
-    exceed _MAX_BLOCK, and a trace that overflows raises NonFiniteError.
+    reasoning: one exact block of side 2n, with n = `_truncation`, gives
+    both t(2n) and, on its leading n x n corner, t(n).  The padded block side
+    2n + (deg p + deg q) * K may not exceed _MAX_BLOCK, and a trace that
+    overflows raises NonFiniteError.
     """
     if not sym.is_finite_band:
         raise TailError("commutator traces need an exact finite-band symbol")
     k = max(sym.band, 1)
-    n = _truncation(sym, p, q, n_override)
+    n = _truncation(sym, p, q)
     side = 2 * n + (p.degree + q.degree) * k
     if side > _MAX_BLOCK:
         raise RangeError(
@@ -187,9 +183,10 @@ def schatten_norm(mat, p: float) -> float:
     sv = np.linalg.svd(_square(mat), compute_uv=False)
     if p == 1:
         return float(np.sum(sv))
-    if p == 2:
-        return float(np.sqrt(np.sum(sv ** 2)))
-    return float(np.sum(sv ** p) ** (1.0 / p))
+    top = np.max(sv, initial=0.0)  # scaled by it, no power of a finite sigma overflows
+    if top == 0.0:
+        return 0.0
+    return float(top * np.sum((sv / top) ** p) ** (1.0 / p))
 
 
 # -- smoothing decomposition machinery ------------------------------------------

@@ -96,20 +96,6 @@ class BivariatePolynomial:
             return float(out)
         return out
 
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for (i, j) in sorted(self.coeffs):
-            c = self.coeffs[(i, j)]
-            factors = [f"{c:g}"]
-            if i:
-                factors.append("x" if i == 1 else f"x^{i}")
-            if j:
-                factors.append("y" if j == 1 else f"y^{j}")
-            parts.append("*".join(factors))
-        return "+".join(parts).replace("+-", "-")
-
 
 def _coerce(value) -> BivariatePolynomial:
     if isinstance(value, BivariatePolynomial):

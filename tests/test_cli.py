@@ -131,13 +131,17 @@ class TestTraceCheck:
         assert set(doc) >= {"lhs", "rhs", "abs_err", "quad_err", "N", "grid",
                             "masked_area_fraction"}
 
-    def test_tolerance_gate(self, capsys, shift_symbol):
-        code, _, err = run_cli(capsys, "trace-check", "--symbol", shift_symbol,
-                               "--p", "x", "--q", "y",
-                               "--grid=-1.5,1.5,-1.5,1.5,150,150",
-                               "--tol", "1e-15")
-        assert code == 3
-        assert json.loads(err)["code"] == "tolerance"
+    def test_tolerance_gate(self, capsys, shift_symbol, tmp_path):
+        report = tmp_path / "report"
+        for out in ([], ["--out", str(report)]):
+            code, stdout, err = run_cli(capsys, "trace-check", "--symbol", shift_symbol,
+                                        "--p", "x", "--q", "y",
+                                        "--grid=-1.5,1.5,-1.5,1.5,150,150",
+                                        "--tol", "1e-15", *out)
+            assert (code, stdout) == (3, "") and not report.exists()
+            diagnostic = strict_json(err)
+            assert (diagnostic["code"], diagnostic["error"]) == ("numerical", "NumericalError")
+            assert "exceeds --tol 1e-15" in diagnostic["message"]
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_trace_exits_3(self, capsys, tmp_path):
@@ -167,8 +171,9 @@ class TestTraceCheck:
         assert doc["abs_err"] <= 1e-4 and doc["quad_err"] <= 1e-4
 
     def test_oversized_dense_block_exits_2(self, capsys, shift_symbol):
+        # N = (deg p + deg q + 2) * band, so the side 2N + (deg p + deg q) is 2050
         code, out, err = run_cli(capsys, "trace-check", "--symbol", shift_symbol,
-                                 "--n", "100000")
+                                 "--p", "x^341", "--q", "y^341")
         assert code == 2 and out == ""
         diagnostic = strict_json(err)
         assert diagnostic["code"] == "schema"
@@ -256,6 +261,7 @@ class TestValidation:
     @pytest.mark.parametrize("argv", [
         ["gallery", "--symbol", "SYM"],
         ["measure", "--symbol", "SYM", "--n", "4"],
+        ["trace-check", "--symbol", "SYM", "--n", "4"],
         ["measure", "--symbol", "SYM", "--tol", "1e-3"],
         ["trace-check", "--symbol", "SYM", "--format", "csv"],
         ["winding", "--symbol", "SYM", "--point", "0,0", "--grid=-1,1,-1,1,4,4"],
@@ -321,6 +327,9 @@ class TestValidation:
         (["measure", "--r", "0"], ["got 0.0", "(0,1]"]),
         (["measure", "--r", "1.5"], ["got 1.5", "(0,1]"]),
         (["winding", "--point", "0,0", "--tol", "nan"], ["got nan", "finite"]),
+        (["winding", "--point", "0,0", "--tol", "0"], ["got 0.0", "positive"]),
+        (["trace-check", "--tol", "0"], ["got 0.0", "positive"]),
+        (["trace-check", "--tol", "-1"], ["got -1.0", "positive"]),
         (["index-check", "--count", "0"], ["got 0", ">= 1"]),
         (["index-check", "--count", "1001"], ["got 1001", "at most 1000"]),
     ])

@@ -89,7 +89,6 @@ VALUES = {
           JUNK_TEXT),
     "format": (st.sampled_from(["json", "csv"]), st.just("xml")),
     "tol": (st.floats(1e-12, 1.0).map(repr), JUNK_TEXT),
-    "n": (st.integers(1, 40).map(str), st.one_of(st.integers(-2, 0).map(str), JUNK_TEXT)),
     "poly": (st.sampled_from(["x", "y", "x^2*y+3*x", "2*x*y", "1e308*x^3"]),
              st.sampled_from(["", "x^", "z", "x^-1", "nan*x"])),
     "point": (POINT, JUNK_TEXT),
@@ -216,6 +215,8 @@ ROTATED_SHIFT = {"type": "finite_band", "coeffs": [{"k": 1, "re": 0.0, "im": 1.0
     (["smooth-limit", "--grid=0.0,1.0,2.0,1e+308,1,1", "--symbol=SYMBOL"], ROTATED_SHIFT),
     # an --out that cannot be opened ended in a traceback
     (["gallery", "--out=MISSING"], ZERO),
+    # a failed --tol gate wrote the report and a "tolerance" diagnostic
+    (["trace-check", "--grid=-1,1,-1,1,1,1", "--tol=1e-12", "--symbol=SYMBOL"], ROTATED_SHIFT),
 ])
 def test_found_inputs(argv, symbol):
     """Inputs that generated calls once found, kept whatever hypothesis draws."""

@@ -298,22 +298,23 @@ class TestHyponormalEquality:
 
 class TestIndexCheck:
     def test_shift_inside(self):
-        wind, val, ok = index_check(SHIFT, 0.0, 1.0, SHIFT_GRID)
+        wind, val, ok = index_check(SHIFT, 0.0, 1.0, hh_density(SHIFT, 1.0, SHIFT_GRID))
         assert wind == 1 and ok
         assert val == pytest.approx(1 / (2j * np.pi))
 
     def test_shift_outside(self):
-        wind, val, ok = index_check(SHIFT, 1.4 + 0.2j, 1.0, SHIFT_GRID)
+        wind, val, ok = index_check(SHIFT, 1.4 + 0.2j, 1.0, hh_density(SHIFT, 1.0, SHIFT_GRID))
         assert wind == 0 and val == 0 and ok
 
     def test_double_winding(self):
-        wind, val, ok = index_check(FourierSymbol({2: 1.0}), 0.3, 1.0, SHIFT_GRID)
+        sym = FourierSymbol({2: 1.0})
+        wind, val, ok = index_check(sym, 0.3, 1.0, hh_density(sym, 1.0, SHIFT_GRID))
         assert wind == 2 and ok
         assert val == pytest.approx(2 / (2j * np.pi))
 
     def test_masked_point_raises(self):
         with pytest.raises(WindingUndefined):
-            index_check(SHIFT, 1.0 + 0.0j, 1.0, SHIFT_GRID)
+            index_check(SHIFT, 1.0 + 0.0j, 1.0, hh_density(SHIFT, 1.0, SHIFT_GRID))
 
     def test_start_curve_read_from_the_density(self, rng, monkeypatch):
         sym = random_symbol(rng, 3)
